@@ -14,7 +14,6 @@ from .errors import GraphParseError, InvariantViolation
 from .graphs import make_path
 from .words import (
     Letter,
-    canonical_words,
     commute_elements,
     equal,
     format_word,
@@ -98,11 +97,6 @@ def conjugate_ext(g, v, w):
     return ext_vertex(g, v.base, v.conjugator + tuple(w))
 
 
-def ext_element(v):
-    """The group element of the vertex, as its canonical word."""
-    return v.key
-
-
 def format_ext_vertex(v):
     if not v.conjugator:
         return v.base
@@ -151,15 +145,31 @@ def ext_adjacent(g, u, v):
 
 def enumerate_vertices(g, radius):
     """All distinct vertices with conjugator length <= radius, sorted by
-    (radius, base, conjugator)."""
+    (radius, base, conjugator).
+
+    Breadth-first: the vertices of radius k+1 are the radius-k vertices v
+    conjugated by one more letter l for which the word l^-1 v.key l is
+    reduced. Such a word is a reduced key of length 2k+3; conversely,
+    dropping the outer letters of a radius-(k+1) key leaves a reduced
+    word, since every subword of a reduced word is reduced, for a
+    radius-k vertex.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    seen = {}
-    for w in canonical_words(g, radius):
-        for a in g.vertices:
-            v = ext_vertex(g, a, w)
-            if v.key not in seen:
-                seen[v.key] = v
+    letters = [Letter(a, s) for a in g.vertices for s in (1, -1)]
+    frontier = [ext_vertex(g, a) for a in g.vertices]
+    seen = {v.key: v for v in frontier}
+    for _ in range(radius):
+        grown = []
+        for v in frontier:
+            for lt in letters:
+                if not is_reduced(g, (lt.inverse(),) + v.key + (lt,)):
+                    continue
+                u = ext_vertex(g, v.base, v.conjugator + (lt,))
+                if u.key not in seen:
+                    seen[u.key] = u
+                    grown.append(u)
+        frontier = grown
     return sorted(
         seen.values(),
         key=lambda v: (
@@ -260,11 +270,13 @@ def search_induced_embedding_ext(pattern, g, radius):
     """Backtracking search for an induced copy of ``pattern`` among the
     extension-graph vertices of conjugator length <= radius.
 
-    A maximum independent set of the pattern is assigned only to base
-    generators: any witness can be conjugated so that those images are
-    base vertices, and conjugation preserves adjacency throughout the
-    extension graph. 'None' therefore means no witness within the radius;
-    it is not a proof that no embedding exists at all.
+    The radius bound is anchored: a maximum independent set of the
+    pattern is assigned only to base generators, and the radius bounds
+    only the images of the remaining vertices. Any witness can be
+    conjugated so that the anchors land on base generators, but that
+    conjugation can lengthen the other images, so 'None' means no
+    anchored witness within the radius. It does not mean that no witness
+    of conjugator length <= radius exists, nor that no embedding exists.
     """
     pool = enumerate_vertices(g, radius)
     anchor_set = set(lex_first_max_independent_set(pattern))
@@ -273,6 +285,7 @@ def search_induced_embedding_ext(pattern, g, radius):
     key_to_idx = {v.key: i for i, v in enumerate(pool)}
     base_domain = [key_to_idx[(Letter(b, 1),)] for b in g.vertices]
     memo = {}
+    rows = {}
 
     def eadj(i, j):
         if i == j:
@@ -281,6 +294,18 @@ def search_induced_embedding_ext(pattern, g, radius):
         got = memo.get(pair)
         if got is None:
             got = memo[pair] = ext_adjacent(g, pool[pair[0]], pool[pair[1]])
+        return got
+
+    def row(a):
+        """Bitmask of the pool vertices adjacent to pool[a]."""
+        got = rows.get(a)
+        if got is None:
+            va = pool[a]
+            got = 0
+            for c, vc in enumerate(pool):
+                if ext_adjacent(g, vc, va):
+                    got |= 1 << c
+            rows[a] = got
         return got
 
     def anchor_assignments(level, chosen):
@@ -299,18 +324,19 @@ def search_induced_embedding_ext(pattern, g, radius):
                 yield from anchor_assignments(level + 1, chosen)
                 del chosen[pv]
 
-    pool_range = range(len(pool))
+    everything = (1 << len(pool)) - 1
     for amap in anchor_assignments(0, {}):
         taken = set(amap.values())
+        free = everything
+        for ai in taken:
+            free &= ~(1 << ai)
         domains = {}
         for rv in rest:
-            wanted = [(amap[au], pattern.adjacent(rv, au)) for au in anchor_order]
-            domains[rv] = [
-                c
-                for c in pool_range
-                if c not in taken
-                and all(eadj(c, ai) == adj for ai, adj in wanted)
-            ]
+            mask = free
+            for au in anchor_order:
+                r = row(amap[au])
+                mask &= r if pattern.adjacent(rv, au) else ~r
+            domains[rv] = _bit_indices(mask)
         if any(not d for d in domains.values()):
             continue
         order = sorted(rest, key=lambda v: (len(domains[v]), pattern.index(v)))
@@ -343,6 +369,17 @@ def search_induced_embedding_ext(pattern, g, radius):
             full.update(found)
             return {pv: pool[i] for pv, i in full.items()}
     return None
+
+
+def _bit_indices(mask):
+    """Positions of the set bits of a nonnegative int, in increasing order."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def verify_witness(pattern, g, witness):

@@ -60,10 +60,11 @@ class GroupMap:
 
     ``domain`` is the graph presenting the domain group; each of its
     vertices maps to a word over ``codomain``'s vertices. ``apply`` is
-    literal substitution and never reduces.
+    literal substitution and never reduces. The inverse of each image is
+    computed once, at construction.
     """
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "images", "inverse_images")
 
     def __init__(self, domain, codomain, images):
         for v in domain.vertices:
@@ -78,12 +79,13 @@ class GroupMap:
         self.domain = domain
         self.codomain = codomain
         self.images = {v: tuple(w) for v, w in images.items()}
+        self.inverse_images = {v: inverse(w) for v, w in self.images.items()}
 
     def apply(self, w):
         out = []
         for lt in w:
-            img = self.images[lt.base]
-            out.extend(img if lt.sign > 0 else inverse(img))
+            images = self.images if lt.sign > 0 else self.inverse_images
+            out.extend(images[lt.base])
         return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -20,10 +21,18 @@ from raagembed.extgraph import (
 from raagembed.graphs import (
     SimplicialGraph,
     is_isomorphic,
+    make_cycle,
     make_path,
     make_tripod,
 )
-from raagembed.words import Letter, equal, format_word, word
+from raagembed.words import (
+    Letter,
+    canonical_words,
+    equal,
+    format_word,
+    letter_key,
+    word,
+)
 
 P5 = make_path(5)
 P6 = make_path(6)
@@ -189,6 +198,57 @@ def test_lex_first_max_independent_set():
     assert lex_first_max_independent_set(make_path(4)) == ("x1", "x3")
 
 
+def _reference_enumerate(g, radius):
+    """Slow reference for enumerate_vertices: every base conjugated by the
+    canonical word of every element of length <= radius."""
+    seen = {}
+    for w in canonical_words(g, radius):
+        for a in g.vertices:
+            v = ext_vertex(g, a, w)
+            seen.setdefault(v.key, v)
+    return sorted(
+        seen.values(),
+        key=lambda v: (
+            v.radius,
+            g.index(v.base),
+            tuple(letter_key(g, lt) for lt in v.conjugator),
+        ),
+    )
+
+
+def _random_graph(rng, n):
+    labels = [f"v{i}" for i in range(n)]
+    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+    rng.shuffle(labels)
+    return SimplicialGraph(labels, edges)
+
+
+def _enumeration_cases():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for radius in range(4):
+            yield f"P{n}-r{radius}", make_path(n), radius
+    for n in range(4, 7):
+        for radius in range(3):
+            yield f"C{n}-r{radius}", make_cycle(n), radius
+    for k in range(6):
+        g = _random_graph(rng, rng.randint(3, 6))
+        for radius in range(3):
+            yield f"random{k}-r{radius}", g, radius
+
+
+@pytest.mark.parametrize(
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _enumeration_cases()],
+)
+def test_enumerate_vertices_matches_the_reference(g, radius):
+    got = enumerate_vertices(g, radius)
+    want = _reference_enumerate(g, radius)
+    assert [(str(v), v.key, v.conjugator) for v in got] == [
+        (str(v), v.key, v.conjugator) for v in want
+    ]
+
+
 def test_search_identity_witness():
     found = search_induced_embedding_ext(P5, P5, 0)
     assert found is not None
@@ -211,6 +271,30 @@ def test_search_finds_the_hairy_tree_witness():
 def test_search_returns_none_for_the_tripod_at_small_radius():
     t2 = make_tripod(2, 2, 2)
     assert search_induced_embedding_ext(t2, make_path(6), 2) is None
+
+
+STAR = SimplicialGraph(
+    ["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v1", "v3"), ("v1", "v4")]
+)
+
+
+def test_the_star_has_a_radius_one_witness_in_p5():
+    witness = {
+        "v1": parse_ext_vertex("x2^(x3)", P5),
+        "v2": parse_ext_vertex("x1", P5),
+        "v3": parse_ext_vertex("x3^(x4)", P5),
+        "v4": parse_ext_vertex("x5^(x4)", P5),
+    }
+    assert verify_witness(STAR, P5, witness)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the radius bound is anchored: conjugating the witness above so "
+    "that its anchors are base generators lengthens the other images",
+)
+def test_search_finds_the_star_witness_at_radius_one():
+    assert search_induced_embedding_ext(STAR, P5, 1) is not None
 
 
 def test_verify_lemma_path_bounds():
