@@ -189,7 +189,7 @@ def _cmd_embed_search(config):
     radius = 2 if config.radius is None else config.radius
     witness = search_induced_embedding_ext(pattern, g, radius)
     if witness is None:
-        print(f"no witness within radius {radius}")
+        print(f"no anchored witness within radius {radius}")
         found = None
     else:
         print(f"witness within radius {radius}:")
@@ -200,6 +200,7 @@ def _cmd_embed_search(config):
         "pattern": config.pattern,
         "graph": config.graph,
         "radius": radius,
+        "anchored": True,
         "witness": found,
     }, 0
 

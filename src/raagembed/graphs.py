@@ -134,11 +134,6 @@ def complement(g):
     return SimplicialGraph(vs, edges)
 
 
-def link(g, v):
-    """Neighbor set of v."""
-    return g.neighbors(v)
-
-
 def induced(g, keep):
     """Induced subgraph on ``keep``, preserving the canonical vertex order."""
     keep = set(keep)

@@ -16,11 +16,11 @@ from .words import (
     Letter,
     canonical_words,
     commute_elements,
+    extend_reduced,
+    find_cancellation,
     format_word,
     inverse,
-    is_trivial,
     reduced_words,
-    support,
 )
 
 
@@ -113,10 +113,6 @@ def induced_hom(h):
     return InducedHom(h)
 
 
-def apply_induced(m, w):
-    return m.apply(w)
-
-
 def kill_generators(g, kill):
     """Retraction onto the group of the graph minus ``kill``: those
     generators map to the identity, everything else to itself."""
@@ -152,36 +148,31 @@ def check_relator_preservation(m):
     return True
 
 
+def _reduced_images(m, max_len):
+    """Yield (w, reduced image of w) for each nonempty canonical domain
+    word of length <= max_len. The words come in depth-first preorder, so
+    the image of w extends the stacked image of w[:-1]. The yielded list
+    must not be modified."""
+    stack = [[]]
+    for w in canonical_words(m.domain, max_len):
+        if w:
+            del stack[len(w):]
+            image = stack[-1].copy()
+            extend_reduced(m.codomain, image, m.apply(w[-1:]))
+            stack.append(image)
+            yield w, image
+
+
 def bounded_injectivity(m, max_len):
     """Check that no nontrivial domain element of length <= max_len maps
     to the identity; one canonical word per element is enumerated."""
     checked = 0
     violations = []
-    for w in canonical_words(m.domain, max_len):
-        if not w:
-            continue
+    for w, image in _reduced_images(m, max_len):
         checked += 1
-        if is_trivial(m.codomain, m.apply(w)):
+        if not image:
             violations.append(format_word(w))
     return {"bound": max_len, "checked": checked, "violations": violations}
-
-
-def has_innermost_cancellation_of(g, w, v):
-    """Whether the literal word contains an inverse pair of the one base v
-    with nothing from v's link and no occurrence of v strictly between."""
-    nbrs = g.neighbors(v)
-    for i, lt in enumerate(w):
-        if lt.base != v:
-            continue
-        for j in range(i + 1, len(w)):
-            m = w[j]
-            if m.base == v:
-                if m.sign == -lt.sign:
-                    return True
-                break
-            if m.base in nbrs:
-                break
-    return False
 
 
 def check_surviving(m, v_prime, max_len):
@@ -197,7 +188,7 @@ def check_surviving(m, v_prime, max_len):
     violations = []
     for w in reduced_words(m.domain, max_len):
         checked += 1
-        if has_innermost_cancellation_of(m.codomain, m.apply(w), v_prime):
+        if find_cancellation(m.codomain, m.apply(w), v_prime) is not None:
             violations.append(format_word(w))
     return {
         "vertex": v_prime,
@@ -209,15 +200,16 @@ def check_surviving(m, v_prime, max_len):
 
 def check_support_propagation(m, trigger, required, max_len):
     """Bounded check: every element whose support contains ``trigger``
-    has an image whose support meets ``required``."""
+    has an image whose support meets ``required``. A canonical word is
+    reduced, so its support is the set of its bases."""
     required = frozenset(required)
     checked = 0
     violations = []
-    for w in canonical_words(m.domain, max_len):
-        if trigger not in support(m.domain, w):
+    for w, image in _reduced_images(m, max_len):
+        if all(lt.base != trigger for lt in w):
             continue
         checked += 1
-        if not (support(m.codomain, m.apply(w)) & required):
+        if required.isdisjoint(lt.base for lt in image):
             violations.append(format_word(w))
     return {
         "trigger": trigger,

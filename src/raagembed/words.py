@@ -24,12 +24,6 @@ class Letter(NamedTuple):
         return self.base if self.sign > 0 else self.base + "^-1"
 
 
-def gen(v, sign=1):
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return Letter(v, sign)
-
-
 def word(*tokens):
     """Build a word from vertex labels; a trailing '^-1' inverts a token."""
     out = []
@@ -41,14 +35,6 @@ def word(*tokens):
     return tuple(out)
 
 
-def check_word(g, w):
-    for lt in w:
-        if lt.base not in g:
-            raise ValueError(f"letter base {lt.base!r} is not a vertex")
-        if lt.sign not in (1, -1):
-            raise ValueError(f"letter {lt!r} has a bad sign")
-
-
 def inverse(w):
     return tuple(lt.inverse() for lt in reversed(w))
 
@@ -58,23 +44,22 @@ def letters_commute(g, a, b):
     return a.base == b.base or not g.adjacent(a.base, b.base)
 
 
-def bases_commute(g, u, v):
-    return u == v or not g.adjacent(u, v)
-
-
 def letter_key(g, lt):
     """Total order on letters: vertex order first, positive sign first."""
     return (g.index(lt.base), 0 if lt.sign > 0 else 1)
 
 
-def find_cancellation(g, w):
-    """Positions (i, j) of an innermost cancellation, or None.
+def find_cancellation(g, w, base=None):
+    """Positions (i, j) of an innermost cancellation, or None; with
+    ``base``, only a pair of that base.
 
     The pair carries inverse letters of one base v with every strictly
     interior letter outside the link of v and no occurrence of v between;
     a word admits no such pair exactly when it is reduced.
     """
     for i, lt in enumerate(w):
+        if base is not None and lt.base != base:
+            continue
         nbrs = g.neighbors(lt.base)
         for j in range(i + 1, len(w)):
             m = w[j]
@@ -91,16 +76,38 @@ def is_reduced(g, w):
     return find_cancellation(g, w) is None
 
 
+def extend_reduced(g, out, w):
+    """Multiply the reduced word ``out`` (a list) by w in place, keeping
+    it reduced. Each letter scans back through the letters it commutes
+    with: it deletes the first inverse it meets, and stops at a letter of
+    its own base and sign or of its link, where it is appended."""
+    for lt in w:
+        base, sign = lt
+        link = g.neighbors(base)
+        i = len(out)
+        while i:
+            i -= 1
+            b, s = out[i]
+            if b == base:
+                if s != sign:
+                    del out[i]
+                    break
+                out.append(lt)
+                break
+            if b in link:
+                out.append(lt)
+                break
+        else:
+            out.append(lt)
+
+
 def reduce(g, w):
-    """Delete innermost cancellation pairs until none is left."""
-    current = list(w)
-    while True:
-        hit = find_cancellation(g, current)
-        if hit is None:
-            return tuple(current)
-        i, j = hit
-        del current[j]
-        del current[i]
+    """Reduced word for w in one left-to-right pass of ``extend_reduced``:
+    the word that deleting innermost cancellation pairs until none is
+    left also leaves, letter for letter."""
+    out = []
+    extend_reduced(g, out, w)
+    return tuple(out)
 
 
 def normal_form(g, w):
@@ -186,55 +193,51 @@ def _letters(g):
     return out
 
 
-def _extension_blocked(g, w, lt, lex_prune):
-    """Reject w+lt if the new letter cancels, or (optionally) if it could
-    shuffle ahead of a larger letter, so the word would not be canonical.
+def _words(g, max_len, canonical):
+    """Depth-first preorder over the reduced words of length <= max_len,
+    extended in letter order; with ``canonical``, one word per element.
 
-    The scan walks back through letters commuting with lt (same base or
-    non-adjacent) and stops at the first link letter.
+    A new letter is rejected if it cancels, or (with ``canonical``) if it
+    could shuffle ahead of a larger letter: the scan walks back through
+    the letters commuting with it and stops at the first link letter.
     """
-    k = letter_key(g, lt)
-    nbrs = g.neighbors(lt.base)
-    for prev in reversed(w):
-        if prev.base == lt.base:
-            if prev.sign == -lt.sign:
+    letters = _letters(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+
+    def blocked(w, base, sign):
+        link = nbrs[base]
+        k = index[base]
+        for b, s in reversed(w):
+            if b == base:
+                if s != sign:
+                    return True
+                continue
+            if b in link:
+                return False
+            # distinct bases: the letter order is the vertex order
+            if canonical and index[b] > k:
                 return True
-            continue
-        if prev.base in nbrs:
-            return False
-        if lex_prune and letter_key(g, prev) > k:
-            return True
-    return False
+        return False
+
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < max_len:
+            stack.extend(
+                w + (lt,) for lt in reversed(letters) if not blocked(w, *lt)
+            )
 
 
 def canonical_words(g, max_len):
     """Yield the canonical reduced word of every element of length <= max_len."""
-    letters = _letters(g)
-
-    def extend(w):
-        yield w
-        if len(w) == max_len:
-            return
-        for lt in letters:
-            if not _extension_blocked(g, w, lt, lex_prune=True):
-                yield from extend(w + (lt,))
-
-    yield from extend(())
+    yield from _words(g, max_len, canonical=True)
 
 
 def reduced_words(g, max_len):
     """Yield every reduced word of length <= max_len (all representatives)."""
-    letters = _letters(g)
-
-    def extend(w):
-        yield w
-        if len(w) == max_len:
-            return
-        for lt in letters:
-            if not _extension_blocked(g, w, lt, lex_prune=False):
-                yield from extend(w + (lt,))
-
-    yield from extend(())
+    yield from _words(g, max_len, canonical=False)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_embed_search_reports_no_witness(capsys, t2_file, tmp_path):
     target.write_text(format_graph(make_path(6)))
     cfg = RunConfig("embed-search", graph=str(target), pattern=t2_file, radius=2)
     assert run(cfg) == 0
-    assert "no witness within radius 2" in capsys.readouterr().out
+    assert "no anchored witness within radius 2" in capsys.readouterr().out
 
 
 def test_push_to_base_and_precondition(capsys, tmp_path):

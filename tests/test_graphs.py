@@ -17,7 +17,6 @@ from raagembed.graphs import (
     is_independent,
     is_isomorphic,
     is_tree,
-    link,
     make_cycle,
     make_path,
     make_tripod,
@@ -73,14 +72,14 @@ def test_complement():
 
 def test_link_induced_remove():
     p5 = make_path(5)
-    assert link(p5, "x3") == {"x2", "x4"}
+    assert p5.neighbors("x3") == {"x2", "x4"}
     t2 = make_tripod(2, 2, 2)
     star = induced(t2, {"x", "a1", "b1", "c1"})
     assert is_isomorphic(star, make_tripod(1, 1, 1))
     two = remove(p5, {"x3"})
     assert sorted(sorted(c) for c in components(two)) == [["x1", "x2"], ["x4", "x5"]]
     with pytest.raises(ValueError):
-        link(p5, "zz")
+        p5.neighbors("zz")
 
 
 def test_independence_components_tree():
@@ -89,7 +88,7 @@ def test_independence_components_tree():
     assert not is_independent(t2, {"x", "a1"})
     p5 = make_path(5)
     # removing the middle vertex's link leaves three path components
-    pieces = components(remove(p5, link(p5, "x3")))
+    pieces = components(remove(p5, p5.neighbors("x3")))
     assert sorted(sorted(c) for c in pieces) == [["x1"], ["x3"], ["x5"]]
     assert not is_tree(make_cycle(12))
     assert is_tree(t2)

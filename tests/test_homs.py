@@ -1,14 +1,14 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from raagembed.constructions import move_deg3, t2_graph
 from raagembed.errors import GraphParseError
-from raagembed.graphs import format_graph, make_path, remove
+from raagembed.graphs import SimplicialGraph, format_graph, make_cycle, make_path, remove
 from raagembed.homs import (
     GraphHom,
     GroupMap,
-    apply_induced,
     bounded_injectivity,
     check_graph_hom,
     check_relator_preservation,
@@ -16,13 +16,23 @@ from raagembed.homs import (
     check_surviving,
     compose,
     format_hom_file,
-    has_innermost_cancellation_of,
     induced_hom,
     kill_generators,
     load_hom,
     parse_hom_file,
 )
-from raagembed.words import Letter, canonical_words, equal, inverse, parse_word, word
+from raagembed.words import (
+    Letter,
+    canonical_words,
+    equal,
+    find_cancellation,
+    format_word,
+    inverse,
+    is_trivial,
+    parse_word,
+    support,
+    word,
+)
 
 P5 = make_path(5)
 
@@ -51,10 +61,10 @@ def test_deg3_vertex_map_is_a_hom_with_independent_fibers():
 def test_apply_induced_examples():
     move = move_deg3(t2_graph(), "x")
     ind = move.induced
-    assert apply_induced(ind, word("x")) == word("x1", "x2", "x3")
-    assert apply_induced(ind, ()) == ()
+    assert ind.apply(word("x")) == word("x1", "x2", "x3")
+    assert ind.apply(()) == ()
     # inverse letters reverse the fiber product
-    assert apply_induced(ind, parse_word("x^-1")) == inverse(word("x1", "x2", "x3"))
+    assert ind.apply(parse_word("x^-1")) == inverse(word("x1", "x2", "x3"))
 
 
 def test_apply_is_a_homomorphism_on_literal_words():
@@ -130,12 +140,85 @@ def test_bounded_injectivity_detects_a_killed_generator():
     assert "x1" in report["violations"]
 
 
+def _naive_injectivity(m, max_len):
+    checked, violations = 0, []
+    for w in canonical_words(m.domain, max_len):
+        if not w:
+            continue
+        checked += 1
+        if is_trivial(m.codomain, m.apply(w)):
+            violations.append(format_word(w))
+    return {"bound": max_len, "checked": checked, "violations": violations}
+
+
+def _naive_support_propagation(m, trigger, required, max_len):
+    required = frozenset(required)
+    checked, violations = 0, []
+    for w in canonical_words(m.domain, max_len):
+        if trigger not in support(m.domain, w):
+            continue
+        checked += 1
+        if not (support(m.codomain, m.apply(w)) & required):
+            violations.append(format_word(w))
+    return {
+        "trigger": trigger,
+        "required": sorted(required),
+        "bound": max_len,
+        "checked": checked,
+        "violations": violations,
+    }
+
+
+def _random_graph(rng, n, prefix):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+    return SimplicialGraph(labels, edges)
+
+
+def _cancelling_cases():
+    """Seeded maps whose images cancel heavily (short words over two or
+    three codomain letters, some the inverse of another), each with a
+    trigger vertex and a required set."""
+    rng = random.Random(3)
+    for _ in range(6):
+        dom = _random_graph(rng, rng.randint(3, 4), "d")
+        cod = _random_graph(rng, rng.randint(3, 5), "c")
+        pool = rng.sample(cod.vertices, rng.randint(2, 3))
+        images = {}
+        for v in dom.vertices:
+            if images and rng.random() < 0.4:
+                images[v] = inverse(images[rng.choice(list(images))])
+            else:
+                images[v] = tuple(
+                    Letter(rng.choice(pool), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 4))
+                )
+        trigger = rng.choice(dom.vertices)
+        required = set(rng.sample(cod.vertices, rng.randint(1, 2)))
+        yield GroupMap(dom, cod, images), trigger, required
+
+
+def test_bounded_checks_match_the_naive_references():
+    cases = [
+        (kill_generators(P5, {"x1"}), "x1", {"x2"}),
+        (kill_generators(make_cycle(5), {"x2", "x4"}), "x3", {"x1", "x5"}),
+        *_cancelling_cases(),
+    ]
+    max_len = 4
+    for m, trigger, required in cases:
+        fast = bounded_injectivity(m, max_len)
+        assert fast == _naive_injectivity(m, max_len)
+        assert fast["violations"]
+        fast = check_support_propagation(m, trigger, required, max_len)
+        assert fast == _naive_support_propagation(m, trigger, required, max_len)
+
+
 def test_innermost_cancellation_detector():
     w = parse_word("x2 x3 x2^-1")
-    assert not has_innermost_cancellation_of(P5, w, "x2")
+    assert find_cancellation(P5, w, "x2") is None
     w = parse_word("x2 x4 x2^-1")
-    assert has_innermost_cancellation_of(P5, w, "x2")
-    assert not has_innermost_cancellation_of(P5, w, "x4")
+    assert find_cancellation(P5, w, "x2") == (0, 2)
+    assert find_cancellation(P5, w, "x4") is None
 
 
 def test_surviving_identity_hom():

@@ -1,9 +1,10 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from raagembed.errors import GraphParseError
-from raagembed.graphs import make_path
+from raagembed.graphs import SimplicialGraph, make_cycle, make_path, make_tripod
 from raagembed.oracle import MoveClosure
 from raagembed.words import (
     Letter,
@@ -63,6 +64,65 @@ def test_reduce_examples():
     w = parse_word("x4^-1 x2^-1 x3^-1 x2 x4 x3")
     assert len(reduce(P5, w)) == 6
     assert len(reduce(P5, parse_word("x1 x3 x1"))) == 3
+
+
+def _reference_reduce(g, w):
+    """The innermost-pair loop ``reduce`` replaced: find the first letter
+    with an inverse partner it commutes up to, delete both, start over."""
+    current = list(w)
+    while True:
+        hit = None
+        for i, lt in enumerate(current):
+            nbrs = g.neighbors(lt.base)
+            for j in range(i + 1, len(current)):
+                m = current[j]
+                if m.base == lt.base:
+                    if m.sign == -lt.sign:
+                        hit = (i, j)
+                    break
+                if m.base in nbrs:
+                    break
+            if hit is not None:
+                break
+        if hit is None:
+            return tuple(current)
+        i, j = hit
+        del current[j]
+        del current[i]
+
+
+@pytest.mark.parametrize(
+    "g, max_len",
+    [
+        (make_path(3), 6),
+        (make_path(4), 6),
+        (make_cycle(4), 6),
+        (make_tripod(1, 1, 1), 6),
+        (make_path(5), 5),
+    ],
+    ids=["P3", "P4", "C4", "K13", "P5"],
+)
+def test_reduce_matches_the_reference_on_every_short_word(g, max_len):
+    for combo in all_words(g, max_len):
+        assert reduce(g, combo) == _reference_reduce(g, combo), combo
+
+
+def test_reduce_matches_the_reference_on_random_long_words():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+        rng.shuffle(labels)
+        g = SimplicialGraph(labels, edges)
+        for _ in range(50):
+            # few bases make long cancelling runs likely
+            bases = rng.sample(labels, rng.randint(1, n))
+            w = tuple(
+                Letter(rng.choice(bases), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 80))
+            )
+            assert reduce(g, w) == _reference_reduce(g, w), format_word(w)
 
 
 def test_normal_form_examples():
@@ -167,6 +227,15 @@ def test_canonical_words_hit_every_element_exactly_once():
         assert w not in seen
         seen.add(w)
     assert len(seen) == closure.class_count()
+
+
+def test_enumerators_yield_depth_first_in_letter_order():
+    # the bounded hom checks extend the image of each word's prefix, and
+    # their reports list violations in this order
+    letters = [Letter(v, s) for v in P4.vertices for s in (1, -1)]
+    rank = {lt: k for k, lt in enumerate(letters)}
+    for listed in (list(canonical_words(P4, 4)), list(reduced_words(P4, 4))):
+        assert listed == sorted(listed, key=lambda w: [rank[lt] for lt in w])
 
 
 def test_reduced_words_cover_all_reduced_representatives():
