@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import acceptance
 from .constructions import (
@@ -43,29 +42,9 @@ from .words import (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph: str = None
-    pattern: str = None
-    convention: str = "opposite"
-    radius: int = None
-    length: int = None
-    out: str = None
-    seed: int = 0
-    vertex: str = None
-    n: int = None
-    tokens: list = field(default_factory=list)
-    criteria: list = field(default_factory=list)
-
-
-def _require_graph(config):
-    if not config.graph:
-        raise GraphParseError(f"{config.command}: needs --graph FILE")
-    g = load_graph(config.graph)
-    if config.convention == "raag":
-        g = complement(g)
-    return g
+def _load(config, path):
+    g = load_graph(path)
+    return complement(g) if config.convention == "raag" else g
 
 
 def _split_words(tokens, g, expected=None):
@@ -90,7 +69,7 @@ def _word_arg(config, g):
 
 
 def _cmd_reduce(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     w = _word_arg(config, g)
     r = reduce(g, w)
     print(format_word(r) if r else "(identity)")
@@ -98,7 +77,7 @@ def _cmd_reduce(config):
 
 
 def _cmd_nf(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     w = _word_arg(config, g)
     nf = normal_form(g, w)
     print(format_word(nf) if nf else "(identity)")
@@ -106,7 +85,7 @@ def _cmd_nf(config):
 
 
 def _cmd_support(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     w = _word_arg(config, g)
     sup = sorted(support(g, w), key=g.index)
     print(" ".join(sup) if sup else "(empty)")
@@ -114,7 +93,7 @@ def _cmd_support(config):
 
 
 def _cmd_commute(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     u, w = _split_words(config.tokens, g, expected=2)
     ans = commute_elements(g, u, w)
     print("commute" if ans else "do not commute")
@@ -122,7 +101,7 @@ def _cmd_commute(config):
 
 
 def _cmd_comm(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     args = _split_words(config.tokens, g)
     if len(args) < 2:
         raise GraphParseError("comm: needs at least two ';'-separated words")
@@ -138,7 +117,7 @@ def _cmd_comm(config):
 
 
 def _cmd_ext_adjacent(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     if len(config.tokens) != 2:
         raise GraphParseError("ext-adjacent: needs exactly two vertices")
     u = parse_ext_vertex(config.tokens[0], g)
@@ -153,21 +132,20 @@ def _cmd_ext_adjacent(config):
 
 
 def _cmd_ext_enumerate(config):
-    g = _require_graph(config)
-    radius = 1 if config.radius is None else config.radius
-    vs = enumerate_vertices(g, radius)
-    print(f"{len(vs)} vertices within radius {radius}")
+    g = _load(config, config.graph)
+    vs = enumerate_vertices(g, config.radius)
+    print(f"{len(vs)} vertices within radius {config.radius}")
     for v in vs:
         print(" ", format_ext_vertex(v))
     return {
-        "radius": radius,
+        "radius": config.radius,
         "count": len(vs),
         "vertices": [format_ext_vertex(v) for v in vs],
     }, 0
 
 
 def _cmd_ext_induced(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     S = [parse_ext_vertex(t, g) for t in config.tokens]
     if not S:
         raise GraphParseError("ext-induced: needs at least one vertex")
@@ -180,33 +158,28 @@ def _cmd_ext_induced(config):
 
 
 def _cmd_embed_search(config):
-    g = _require_graph(config)
-    if not config.pattern:
-        raise GraphParseError("embed-search: needs --pattern FILE")
-    pattern = load_graph(config.pattern)
-    if config.convention == "raag":
-        pattern = complement(pattern)
-    radius = 2 if config.radius is None else config.radius
-    witness = search_induced_embedding_ext(pattern, g, radius)
+    g = _load(config, config.graph)
+    pattern = _load(config, config.pattern)
+    witness = search_induced_embedding_ext(pattern, g, config.radius)
     if witness is None:
-        print(f"no anchored witness within radius {radius}")
+        print(f"no anchored witness within radius {config.radius}")
         found = None
     else:
-        print(f"witness within radius {radius}:")
+        print(f"witness within radius {config.radius}:")
         found = {v: format_ext_vertex(e) for v, e in witness.items()}
         for v in pattern.vertices:
             print(f"  {v} -> {found[v]}")
     return {
         "pattern": config.pattern,
         "graph": config.graph,
-        "radius": radius,
+        "radius": config.radius,
         "anchored": True,
         "witness": found,
     }, 0
 
 
 def _cmd_push_to_base(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     items = [parse_ext_vertex(t, g) for t in config.tokens]
     if not items:
         raise GraphParseError("push-to-base: needs at least one vertex")
@@ -221,9 +194,7 @@ def _cmd_push_to_base(config):
 
 
 def _cmd_move_deg1k(config):
-    g = _require_graph(config)
-    if not config.vertex:
-        raise GraphParseError("move-deg1k: needs --vertex LABEL")
+    g = _load(config, config.graph)
     move = move_deg1k(g, config.vertex)
     print(f"replaced {config.vertex} (k={move.k}); new graph:")
     print(format_graph(move.new_graph), end="")
@@ -236,9 +207,7 @@ def _cmd_move_deg1k(config):
 
 
 def _cmd_move_deg3(config):
-    g = _require_graph(config)
-    if not config.vertex:
-        raise GraphParseError("move-deg3: needs --vertex LABEL")
+    g = _load(config, config.graph)
     move = move_deg3(g, config.vertex)
     print(f"replaced the tripod at {config.vertex}; new graph:")
     print(format_graph(move.new_graph), end="")
@@ -251,8 +220,7 @@ def _cmd_move_deg3(config):
 
 
 def _cmd_pipeline_t2(config):
-    length = 5 if config.length is None else config.length
-    pipe = build_t2_pipeline(length=length)
+    pipe = build_t2_pipeline(length=config.length)
     for line in pipe.chain_description():
         print(line)
     inj = pipe.injectivity
@@ -265,7 +233,7 @@ def _cmd_pipeline_t2(config):
 
 
 def _cmd_hairy(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     if not is_tree(g):
         raise GraphParseError("hairy: input graph is not a tree")
     try:
@@ -289,7 +257,7 @@ def _cmd_hairy(config):
 
 
 def _cmd_obstruct(config):
-    g = _require_graph(config)
+    g = _load(config, config.graph)
     cert = certify_non_embeddability(g)
     if cert is None:
         print("no obstruction tuple found")
@@ -299,15 +267,13 @@ def _cmd_obstruct(config):
 
 
 def _cmd_verify_lemma_path(config):
-    n = 5 if config.n is None else config.n
-    radius = 3 if config.radius is None else config.radius
     try:
-        report = verify_lemma_path(n, radius)
+        report = verify_lemma_path(config.n, config.radius)
     except InvariantViolation as exc:
         print(f"FAILED: {exc}")
         return {"error": str(exc)}, 1
     print(
-        f"clean: n={n} radius={radius}, {report['checks']} checks over "
+        f"clean: n={config.n} radius={config.radius}, {report['checks']} checks over "
         f"{report['triples']} triples and {report['pool']} vertices"
     )
     return report, 0
@@ -326,56 +292,113 @@ def _cmd_counterexample(config):
 
 
 def _cmd_verify_all(config):
-    ids = [int(t) for t in config.criteria] if config.criteria else None
-
     def announce(report):
         mark = "PASS" if report["passed"] else "FAIL"
         print(f"{mark}  #{report['id']:<2} {report['name']} ({report['seconds']}s)")
 
-    reports = acceptance.run_all(ids=ids, seed=config.seed, progress=announce)
+    reports = acceptance.run_all(ids=config.ids, seed=config.seed, progress=announce)
     ok = all(r["passed"] for r in reports)
     print("all criteria passed" if ok else "SOME CRITERIA FAILED")
     return {"criteria": reports, "passed": ok}, 0 if ok else 1
 
 
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "nf": _cmd_nf,
-    "support": _cmd_support,
-    "commute": _cmd_commute,
-    "comm": _cmd_comm,
-    "ext-adjacent": _cmd_ext_adjacent,
-    "ext-enumerate": _cmd_ext_enumerate,
-    "ext-induced": _cmd_ext_induced,
-    "embed-search": _cmd_embed_search,
-    "push-to-base": _cmd_push_to_base,
-    "move-deg1k": _cmd_move_deg1k,
-    "move-deg3": _cmd_move_deg3,
-    "pipeline-t2": _cmd_pipeline_t2,
-    "hairy": _cmd_hairy,
-    "obstruct": _cmd_obstruct,
-    "verify-lemma-path": _cmd_verify_lemma_path,
-    "counterexample": _cmd_counterexample,
-    "verify-all": _cmd_verify_all,
-}
-
-
-def run(config):
-    """Execute one command; returns the process exit status."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
-    for bound in (config.radius, config.length):
-        if bound is not None and bound < 0:
-            print("error: bounds must be nonnegative", file=sys.stderr)
-            return 2
+def _nonnegative_int(text):
+    """argparse type for the radius and length bounds."""
     try:
-        report, status = handler(config)
-    except (GraphParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="raagembed",
+        description="words, extension graphs and embedding certificates for "
+        "groups presented on graph complements (generators commute iff "
+        "non-adjacent); outputs stay in that internal convention",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, help_, graph=True, tokens=None, radius=None):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        if graph:
+            p.add_argument("--graph", required=True, help="graph file (text or JSON form)")
+            p.add_argument(
+                "--convention",
+                choices=("raag", "opposite"),
+                default="opposite",
+                help="input convention; 'raag' complements input graphs at the boundary",
+            )
+        if tokens:
+            p.add_argument("tokens", nargs="*", metavar=tokens)
+        if radius is not None:
+            p.add_argument(
+                "--radius", type=_nonnegative_int, default=radius,
+                help=f"conjugator length bound (default {radius})",
+            )
+        p.add_argument("--out", help="write a JSON report here")
+        return p
+
+    add("reduce", _cmd_reduce, "reduce a word", tokens="LETTER")
+    add("nf", _cmd_nf, "canonical normal form of a word", tokens="LETTER")
+    add("support", _cmd_support, "support of a word", tokens="LETTER")
+    add("commute", _cmd_commute, "do two words commute (separate with ';')", tokens="TOKEN")
+    add("comm", _cmd_comm, "left-normed iterated commutator (';'-separated)", tokens="TOKEN")
+    add("ext-adjacent", _cmd_ext_adjacent, "adjacency of two extension vertices", tokens="VERTEX")
+    add("ext-enumerate", _cmd_ext_enumerate, "list extension vertices within --radius", radius=1)
+    add("ext-induced", _cmd_ext_induced, "induced extension subgraph on listed vertices", tokens="VERTEX")
+    p = add(
+        "embed-search", _cmd_embed_search,
+        "search the extension graph for an induced copy of --pattern", radius=2,
+    )
+    p.add_argument("--pattern", required=True, help="pattern graph file")
+    add("push-to-base", _cmd_push_to_base, "conjugate an independent set into the base", tokens="VERTEX")
+    p = add("move-deg1k", _cmd_move_deg1k, "leaf-path replacement move")
+    p.add_argument("--vertex", required=True, help="replaced vertex")
+    p = add("move-deg3", _cmd_move_deg3, "tripod-to-hexagon move")
+    p.add_argument("--vertex", required=True, help="replaced vertex")
+    p = add(
+        "pipeline-t2", _cmd_pipeline_t2,
+        "tripod to 12-cycle chain with cited final hop", graph=False,
+    )
+    p.add_argument(
+        "--length", type=_nonnegative_int, default=5,
+        help="word length bound of the injectivity check (default 5)",
+    )
+    add("hairy", _cmd_hairy, "hairy-path decomposition and witness for a tree")
+    add("obstruct", _cmd_obstruct, "tripod-style non-embeddability certificate")
+    p = add(
+        "verify-lemma-path", _cmd_verify_lemma_path,
+        "middle-vertex commutation check on a path", graph=False, radius=3,
+    )
+    p.add_argument("--n", type=int, default=5, help="path length (default 5)")
+    add(
+        "counterexample", _cmd_counterexample,
+        "iterated-commutator refutation over the 5-vertex path", graph=False,
+    )
+    p = add(
+        "verify-all", _cmd_verify_all,
+        "run acceptance criteria (optionally a subset of ids)", graph=False,
+    )
+    p.add_argument("ids", nargs="*", type=int, metavar="ID")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling only")
+    return parser
+
+
+def run(argv=None):
+    """Parse the arguments, execute one command and return the process
+    exit status; a usage error returns 2 instead of exiting."""
+    try:
+        config = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        report, status = config.handler(config)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
@@ -388,81 +411,8 @@ def run(config):
     return status
 
 
-def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--graph", help="graph file (text or JSON form)")
-    shared.add_argument(
-        "--convention",
-        choices=("raag", "opposite"),
-        default="opposite",
-        help="input convention; 'raag' complements input graphs at the boundary",
-    )
-    shared.add_argument("--radius", type=int, help="conjugator length bound")
-    shared.add_argument("--length", type=int, help="word length bound")
-    shared.add_argument("--out", help="write a JSON report here")
-    shared.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized sampling only"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="raagembed",
-        description="words, extension graphs and embedding certificates for "
-        "groups presented on graph complements (generators commute iff "
-        "non-adjacent); outputs stay in that internal convention",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, tokens=None, **extra):
-        p = sub.add_parser(name, parents=[shared], help=help_)
-        if tokens:
-            p.add_argument("tokens", nargs=tokens[0], metavar=tokens[1])
-        for flag, kw in extra.items():
-            p.add_argument(flag, **kw)
-        return p
-
-    add("reduce", "reduce a word", tokens=("*", "LETTER"))
-    add("nf", "canonical normal form of a word", tokens=("*", "LETTER"))
-    add("support", "support of a word", tokens=("*", "LETTER"))
-    add("commute", "do two words commute (separate with ';')", tokens=("*", "TOKEN"))
-    add("comm", "left-normed iterated commutator (';'-separated)", tokens=("*", "TOKEN"))
-    add("ext-adjacent", "adjacency of two extension vertices", tokens=("*", "VERTEX"))
-    add("ext-enumerate", "list extension vertices within --radius")
-    add("ext-induced", "induced extension subgraph on listed vertices", tokens=("*", "VERTEX"))
-    add(
-        "embed-search",
-        "search the extension graph for an induced copy of --pattern",
-        **{"--pattern": {"help": "pattern graph file"}},
-    )
-    add("push-to-base", "conjugate an independent set into the base", tokens=("*", "VERTEX"))
-    add("move-deg1k", "leaf-path replacement move", **{"--vertex": {"help": "replaced vertex"}})
-    add("move-deg3", "tripod-to-hexagon move", **{"--vertex": {"help": "replaced vertex"}})
-    add("pipeline-t2", "tripod to 12-cycle chain with cited final hop")
-    add("hairy", "hairy-path decomposition and witness for a tree")
-    add("obstruct", "tripod-style non-embeddability certificate")
-    add("verify-lemma-path", "middle-vertex commutation check on a path", **{"--n": {"type": int, "help": "path length"}})
-    add("counterexample", "iterated-commutator refutation over the 5-vertex path")
-    add("verify-all", "run acceptance criteria (optionally a subset of ids)", tokens=("*", "ID"))
-    return parser
-
-
 def main(argv=None):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        graph=getattr(ns, "graph", None),
-        pattern=getattr(ns, "pattern", None),
-        convention=getattr(ns, "convention", "opposite"),
-        radius=getattr(ns, "radius", None),
-        length=getattr(ns, "length", None),
-        out=getattr(ns, "out", None),
-        seed=getattr(ns, "seed", 0),
-        vertex=getattr(ns, "vertex", None),
-        n=getattr(ns, "n", None),
-        tokens=list(getattr(ns, "tokens", []) or []),
-        criteria=list(getattr(ns, "tokens", []) or []) if ns.command == "verify-all" else [],
-    )
-    sys.exit(run(config))
+    sys.exit(run(argv))
 
 
 if __name__ == "__main__":

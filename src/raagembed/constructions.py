@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .extgraph import (
-    ext_vertex,
-    format_ext_vertex,
-    induced_ext_subgraph,
-)
+from .extgraph import ext_vertex, format_ext_vertex, verify_witness
 from .graphs import (
     SimplicialGraph,
     graph_to_json,
@@ -33,7 +29,6 @@ from .homs import (
     check_support_propagation,
     check_surviving,
     compose,
-    induced_hom,
 )
 from .words import (
     format_word,
@@ -93,9 +88,9 @@ def move_deg1k(g, x):
     neighbors.
 
     The witness places x on the first path vertex conjugated by the rest
-    of the path and the deleted leaves on the even path vertices; the
-    induced subgraph of the new extension graph on those images is checked
-    to reproduce the old graph exactly.
+    of the path and the deleted leaves on the even path vertices;
+    ``verify_witness`` checks that the new extension graph induces exactly
+    the old graph on those images.
     """
     if x not in g:
         raise ValueError(f"unknown vertex {x!r}")
@@ -141,14 +136,8 @@ def move_deg1k(g, x):
         else:
             witness[v] = ext_vertex(new_graph, v)
 
-    view = induced_ext_subgraph(new_graph, [witness[v] for v in g.vertices])
-    for i, u in enumerate(g.vertices):
-        for j in range(i + 1, len(g.vertices)):
-            v = g.vertices[j]
-            if view.adjacent(i, j) != g.adjacent(u, v):
-                raise InvariantViolation(
-                    f"replacement witness broke the pair ({u}, {v})"
-                )
+    if not verify_witness(g, new_graph, witness):
+        raise InvariantViolation("replacement witness does not induce the old graph")
 
     group_map = GroupMap(
         g, new_graph, {v: witness[v].key for v in g.vertices}
@@ -210,7 +199,7 @@ def move_deg3(g, x):
     mapping = {renaming[v]: v for v in renaming}
     mapping.update({x1: x, x2: x, x3: x})
     hom = GraphHom(new_graph, g, mapping)
-    ind = induced_hom(hom)
+    ind = InducedHom(hom)
     if not check_relator_preservation(ind):
         raise InvariantViolation("hexagon replacement broke a commuting pair")
     return MoveResult(
@@ -251,7 +240,7 @@ def deg3_claim_reports(move, length=5):
     restricted = GraphHom(
         g2p, g1p, {v: move.hom(v) for v in g2p.vertices}
     )
-    phi1 = induced_hom(restricted)
+    phi1 = InducedHom(restricted)
 
     keep_alive = {}
     for v in g2p.vertices:
@@ -429,24 +418,46 @@ def hairy_witness(t):
             for j, hair in enumerate(hs, start=1):
                 assignment[hair] = ext_vertex(path, block[2 * j - 1])
 
-    view = induced_ext_subgraph(path, [assignment[v] for v in t.vertices])
-    for i, u in enumerate(t.vertices):
-        for j in range(i + 1, len(t.vertices)):
-            v = t.vertices[j]
-            if view.adjacent(i, j) != t.adjacent(u, v):
-                raise InvariantViolation(f"hairy witness broke the pair ({u}, {v})")
+    if not verify_witness(t, path, assignment):
+        raise InvariantViolation("hairy witness does not induce the tree")
     if n != dec.m + 2 * dec.total_hairs:
         raise InvariantViolation("path length disagrees with spine plus hair count")
     return HairyWitness(n=n, path=path, assignment=assignment, decomposition=dec)
 
 
+def obstruction_holds(g, roles):
+    """Whether the role map is a tripod-style obstruction tuple in g:
+    seven distinct vertices, x, p, q, r pairwise non-adjacent, and each of
+    a, b, c adjacent to x and to exactly one of p, q, r (its own)."""
+    x, p, q, r = roles["x"], roles["p"], roles["q"], roles["r"]
+    a, b, c = roles["a"], roles["b"], roles["c"]
+    quad = [x, p, q, r]
+    if len({x, p, q, r, a, b, c}) != 7:
+        return False
+    if any(g.adjacent(u, v) for i, u in enumerate(quad) for v in quad[i + 1:]):
+        return False
+    want = {
+        a: {x: True, p: True, q: False, r: False},
+        b: {x: True, q: True, p: False, r: False},
+        c: {x: True, r: True, p: False, q: False},
+    }
+    return all(
+        g.adjacent(v, u) == flag
+        for v, spec_ in want.items()
+        for u, flag in spec_.items()
+    )
+
+
 def certify_non_embeddability(g):
     """Certificate that a graph embeds into no path graph's extension
     graph, built from the tripod-style obstruction tuple; None when no
-    tuple exists."""
+    tuple exists. The tuple is checked with ``obstruction_holds`` before
+    the certificate is returned."""
     roles = find_tripod_obstruction(g)
     if roles is None:
         return None
+    if not obstruction_holds(g, roles):
+        raise InvariantViolation(f"obstruction tuple fails its pattern: {roles}")
     cases = []
     for middle, far, witness in (
         ("p", "q", "b"),

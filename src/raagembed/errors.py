@@ -2,7 +2,7 @@
 
 
 class GraphParseError(ValueError):
-    """Malformed graph, word, hom or witness input; message carries position."""
+    """Malformed graph, word or witness input; message carries position."""
 
 
 class InvariantViolation(RuntimeError):

@@ -92,11 +92,6 @@ def ext_vertex(g, base, w=()):
     return ExtVertex(base, conj, key)
 
 
-def conjugate_ext(g, v, w):
-    """The vertex for v conjugated by a further word w."""
-    return ext_vertex(g, v.base, v.conjugator + tuple(w))
-
-
 def format_ext_vertex(v):
     if not v.conjugator:
         return v.base
@@ -187,9 +182,6 @@ class ExtSubgraphView:
     vertices: tuple
     edges: frozenset  # index pairs (i, j), i < j
     graph: object  # SimplicialGraph on the textual labels
-
-    def adjacent(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
 
 
 def induced_ext_subgraph(g, S):

@@ -8,10 +8,6 @@ determinism and is fixed to the canonical vertex order.
 
 from __future__ import annotations
 
-import os
-
-from .errors import GraphParseError
-from .graphs import load_graph
 from .words import (
     Letter,
     canonical_words,
@@ -109,10 +105,6 @@ class InducedHom(GroupMap):
         self.fiber_order = fiber_order
 
 
-def induced_hom(h):
-    return InducedHom(h)
-
-
 def kill_generators(g, kill):
     """Retraction onto the group of the graph minus ``kill``: those
     generators map to the identity, everything else to itself."""
@@ -120,7 +112,7 @@ def kill_generators(g, kill):
 
     sub = remove(g, kill)
     incl = GraphHom(sub, g, {v: v for v in sub.vertices})
-    return induced_hom(incl)
+    return InducedHom(incl)
 
 
 def compose(outer, inner):
@@ -219,55 +211,3 @@ def check_support_propagation(m, trigger, required, max_len):
         "violations": violations,
     }
 
-
-# ---------------------------------------------------------------------------
-# Hom file format: two graph file references plus `map:` lines.
-
-
-def _load_referenced(fragment, directory, name, lineno):
-    path = os.path.join(directory, fragment.strip())
-    try:
-        return load_graph(path)
-    except OSError as exc:
-        raise GraphParseError(f"{name}:{lineno}: cannot read {path!r}: {exc}") from None
-
-
-def format_hom_file(h, source_path, target_path):
-    lines = [f"source: {source_path}", f"target: {target_path}"]
-    for v in h.source.vertices:
-        lines.append(f"map: {v} -> {h(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_hom_file(text, name="<hom>", directory="."):
-    source = target = None
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("source:"):
-            source = _load_referenced(line[len("source:"):], directory, name, lineno)
-        elif line.startswith("target:"):
-            target = _load_referenced(line[len("target:"):], directory, name, lineno)
-        elif line.startswith("map:"):
-            body = line[len("map:"):]
-            if "->" not in body:
-                raise GraphParseError(f"{name}:{lineno}: map line needs '->'")
-            src, _, dst = body.partition("->")
-            mapping[src.strip()] = dst.strip()
-        else:
-            raise GraphParseError(f"{name}:{lineno}: unrecognized line {line!r}")
-    if source is None or target is None:
-        raise GraphParseError(f"{name}: needs 'source:' and 'target:' graph references")
-    try:
-        return GraphHom(source, target, mapping)
-    except ValueError as exc:
-        raise GraphParseError(f"{name}: {exc}") from None
-
-
-def load_hom(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hom_file(
-            fh.read(), name=str(path), directory=os.path.dirname(path) or "."
-        )

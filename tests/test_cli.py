@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from raagembed.cli import RunConfig, run
+from raagembed.cli import run
 from raagembed.extgraph import parse_ext_vertex, verify_witness
 from raagembed.graphs import (
     complement,
@@ -30,35 +30,29 @@ def t2_file(tmp_path):
 
 
 def test_reduce_command(capsys, p5_file):
-    status = run(RunConfig("reduce", graph=p5_file, tokens=["x1", "x3", "x1^-1"]))
+    status = run(["reduce", "--graph", p5_file, "x1", "x3", "x1^-1"])
     assert status == 0
     assert capsys.readouterr().out.strip() == "x3"
 
 
 def test_reduce_identity_output(capsys, p5_file):
-    status = run(RunConfig("reduce", graph=p5_file, tokens=["x1", "x1^-1"]))
+    status = run(["reduce", "--graph", p5_file, "x1", "x1^-1"])
     assert status == 0
     assert capsys.readouterr().out.strip() == "(identity)"
 
 
 def test_nf_and_support(capsys, p5_file):
-    assert run(RunConfig("nf", graph=p5_file, tokens=["x3", "x1"])) == 0
+    assert run(["nf", "--graph", p5_file, "x3", "x1"]) == 0
     assert capsys.readouterr().out.strip() == "x1 x3"
-    assert run(RunConfig("support", graph=p5_file, tokens=["x2^-1", "x1", "x2"])) == 0
+    assert run(["support", "--graph", p5_file, "x2^-1", "x1", "x2"]) == 0
     assert capsys.readouterr().out.strip() == "x1 x2"
 
 
 def test_commute_and_comm(capsys, p5_file):
-    assert run(RunConfig("commute", graph=p5_file, tokens=["x2", ";", "x4"])) == 0
+    assert run(["commute", "--graph", p5_file, "x2", ";", "x4"]) == 0
     assert capsys.readouterr().out.strip() == "commute"
     assert (
-        run(
-            RunConfig(
-                "comm",
-                graph=p5_file,
-                tokens=["x2", "x4", ";", "x3", ";", "x1", ";", "x5"],
-            )
-        )
+        run(["comm", "--graph", p5_file, "x2", "x4", ";", "x3", ";", "x1", ";", "x5"])
         == 0
     )
     out = capsys.readouterr().out.strip()
@@ -66,29 +60,29 @@ def test_commute_and_comm(capsys, p5_file):
 
 
 def test_comm_needs_two_arguments(capsys, p5_file):
-    assert run(RunConfig("comm", graph=p5_file, tokens=["x1", "x2"])) == 2
+    assert run(["comm", "--graph", p5_file, "x1", "x2"]) == 2
 
 
 def test_ext_commands(capsys, p5_file):
-    assert run(RunConfig("ext-adjacent", graph=p5_file, tokens=["x1^(x2)", "x3"])) == 0
+    assert run(["ext-adjacent", "--graph", p5_file, "x1^(x2)", "x3"]) == 0
     assert capsys.readouterr().out.strip() == "adjacent"
-    assert run(RunConfig("ext-enumerate", graph=p5_file, radius=0)) == 0
+    assert run(["ext-enumerate", "--graph", p5_file, "--radius", "0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("5 vertices within radius 0")
-    assert run(RunConfig("ext-induced", graph=p5_file, tokens=["x1", "x2", "x1^(x2 x3)"])) == 0
+    assert run(["ext-induced", "--graph", p5_file, "x1", "x2", "x1^(x2 x3)"]) == 0
     assert "vertices:" in capsys.readouterr().out
 
 
 def test_embed_search_witness_roundtrip(tmp_path, capsys, p5_file):
     out_file = tmp_path / "witness.json"
-    cfg = RunConfig(
+    argv = [
         "embed-search",
-        graph=p5_file,
-        pattern=p5_file,
-        radius=0,
-        out=str(out_file),
-    )
-    assert run(cfg) == 0
+        "--graph", p5_file,
+        "--pattern", p5_file,
+        "--radius", "0",
+        "--out", str(out_file),
+    ]
+    assert run(argv) == 0
     capsys.readouterr()
     data = json.loads(out_file.read_text())
     assert data["witness"] is not None
@@ -103,23 +97,23 @@ def test_embed_search_witness_roundtrip(tmp_path, capsys, p5_file):
 def test_embed_search_reports_no_witness(capsys, t2_file, tmp_path):
     target = tmp_path / "p6.graph"
     target.write_text(format_graph(make_path(6)))
-    cfg = RunConfig("embed-search", graph=str(target), pattern=t2_file, radius=2)
-    assert run(cfg) == 0
+    argv = ["embed-search", "--graph", str(target), "--pattern", t2_file, "--radius", "2"]
+    assert run(argv) == 0
     assert "no anchored witness within radius 2" in capsys.readouterr().out
 
 
 def test_push_to_base_and_precondition(capsys, tmp_path):
     p6 = tmp_path / "p6.graph"
     p6.write_text(format_graph(make_path(6)))
-    assert run(RunConfig("push-to-base", graph=str(p6), tokens=["x1^(x2)", "x5"])) == 0
+    assert run(["push-to-base", "--graph", str(p6), "x1^(x2)", "x5"]) == 0
     out = capsys.readouterr().out
     assert "conjugator: x2" in out and "x1 x5" in out
     # adjacent pair: precondition fails, usage-style exit
-    assert run(RunConfig("push-to-base", graph=str(p6), tokens=["x1^(x2)", "x3"])) == 2
+    assert run(["push-to-base", "--graph", str(p6), "x1^(x2)", "x3"]) == 2
 
 
 def test_move_commands(capsys, tmp_path, t2_file):
-    assert run(RunConfig("move-deg3", graph=t2_file, vertex="x")) == 0
+    assert run(["move-deg3", "--graph", t2_file, "--vertex", "x"]) == 0
     out = capsys.readouterr().out
     assert "x -> x1 x2 x3" in out
     leafy = tmp_path / "leafy.graph"
@@ -127,14 +121,14 @@ def test_move_commands(capsys, tmp_path, t2_file):
         "vertices: b2 b x c c2 a1\n"
         "edge: b2 b\nedge: b x\nedge: x c\nedge: c c2\nedge: x a1\n"
     )
-    assert run(RunConfig("move-deg1k", graph=str(leafy), vertex="x")) == 0
+    assert run(["move-deg1k", "--graph", str(leafy), "--vertex", "x"]) == 0
     assert "x -> x1^(x2 x3)" in capsys.readouterr().out
-    assert run(RunConfig("move-deg1k", graph=str(leafy), vertex="b")) == 2
+    assert run(["move-deg1k", "--graph", str(leafy), "--vertex", "b"]) == 2
 
 
 def test_pipeline_command(capsys, tmp_path):
     out_file = tmp_path / "pipe.json"
-    assert run(RunConfig("pipeline-t2", length=2, out=str(out_file))) == 0
+    assert run(["pipeline-t2", "--length", "2", "--out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "tripod T(2,2,2)" in out
     data = json.loads(out_file.read_text())
@@ -143,7 +137,7 @@ def test_pipeline_command(capsys, tmp_path):
 
 
 def test_hairy_on_the_tripod_emits_a_certificate(capsys, t2_file):
-    assert run(RunConfig("hairy", graph=t2_file)) == 0
+    assert run(["hairy", "--graph", t2_file]) == 0
     out = capsys.readouterr().out
     assert "not a hairy path graph" in out
 
@@ -151,30 +145,30 @@ def test_hairy_on_the_tripod_emits_a_certificate(capsys, t2_file):
 def test_hairy_on_a_path(capsys, tmp_path):
     f = tmp_path / "p4.graph"
     f.write_text(format_graph(make_path(4)))
-    assert run(RunConfig("hairy", graph=str(f))) == 0
+    assert run(["hairy", "--graph", str(f)]) == 0
     assert "hairy path graph" in capsys.readouterr().out
 
 
 def test_obstruct(capsys, t2_file, p5_file):
-    assert run(RunConfig("obstruct", graph=t2_file)) == 0
+    assert run(["obstruct", "--graph", t2_file]) == 0
     assert "obstruction tuple" in capsys.readouterr().out
-    assert run(RunConfig("obstruct", graph=p5_file)) == 0
+    assert run(["obstruct", "--graph", p5_file]) == 0
     assert "no obstruction" in capsys.readouterr().out
 
 
 def test_verify_lemma_path_command(capsys):
-    assert run(RunConfig("verify-lemma-path", n=5, radius=1)) == 0
+    assert run(["verify-lemma-path", "--n", "5", "--radius", "1"]) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_counterexample_command(capsys):
-    assert run(RunConfig("counterexample")) == 0
+    assert run(["counterexample"]) == 0
     assert "nontrivial" in capsys.readouterr().out
 
 
 def test_verify_all_subset(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    assert run(RunConfig("verify-all", criteria=["1", "5"], out=str(out_file))) == 0
+    assert run(["verify-all", "1", "5", "--out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "PASS  #1" in out and "PASS  #5" in out
     data = json.loads(out_file.read_text())
@@ -188,28 +182,64 @@ def test_convention_flag_matches_manual_complement(capsys, tmp_path):
     comp = tmp_path / "t2c.graph"
     comp.write_text(format_graph(complement(t2)))
     # words over the complemented graph behave identically either way
-    cfg_raag = RunConfig(
-        "nf", graph=str(comp), convention="raag", tokens=["b1", "x", "a1"]
-    )
-    assert run(cfg_raag) == 0
+    argv_raag = ["nf", "--graph", str(comp), "--convention", "raag", "b1", "x", "a1"]
+    assert run(argv_raag) == 0
     out_raag = capsys.readouterr().out
-    cfg_opp = RunConfig("nf", graph=str(plain), tokens=["b1", "x", "a1"])
-    assert run(cfg_opp) == 0
+    argv_opp = ["nf", "--graph", str(plain), "b1", "x", "a1"]
+    assert run(argv_opp) == 0
     assert capsys.readouterr().out == out_raag
 
 
 def test_bad_inputs_exit_2(capsys, tmp_path):
-    missing = RunConfig("reduce", graph=str(tmp_path / "nope.graph"), tokens=["x1"])
+    missing = ["reduce", "--graph", str(tmp_path / "nope.graph"), "x1"]
     assert run(missing) == 2
     bad = tmp_path / "bad.graph"
     bad.write_text("vertices: a b\nedge: a\n")
-    assert run(RunConfig("reduce", graph=str(bad), tokens=["a"])) == 2
+    assert run(["reduce", "--graph", str(bad), "a"]) == 2
     err = capsys.readouterr().err
     assert "bad.graph:2" in err
     p5 = tmp_path / "p5.graph"
     p5.write_text(format_graph(make_path(5)))
-    assert run(RunConfig("reduce", graph=str(p5), tokens=["x9"])) == 2
-    assert run(RunConfig("nf", tokens=["x1"])) == 2  # no graph given
+    assert run(["reduce", "--graph", str(p5), "x9"]) == 2
+    assert run(["nf", "x1"]) == 2  # no graph given
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags the command does not read
+        ["counterexample", "--graph", "X"],
+        ["counterexample", "--radius", "3"],
+        ["pipeline-t2", "--radius", "1"],
+        ["verify-all", "1", "--radius", "-1"],
+        ["verify-lemma-path", "--length", "2"],
+        ["ext-enumerate", "--graph", "X", "--seed", "1"],
+        ["reduce", "--graph", "X", "--vertex", "x1", "x1"],
+        # negative or malformed bounds
+        ["ext-enumerate", "--graph", "X", "--radius", "-1"],
+        ["embed-search", "--graph", "X", "--pattern", "X", "--radius", "-2"],
+        ["verify-lemma-path", "--radius", "-1"],
+        ["pipeline-t2", "--length", "-1"],
+        ["pipeline-t2", "--length", "two"],
+        ["verify-all", "one"],
+        # missing required flags
+        ["reduce", "x1"],
+        ["obstruct"],
+        ["embed-search", "--graph", "X"],
+        ["move-deg3", "--graph", "X"],
+    ],
+)
+def test_rejected_flags_exit_2(capsys, argv):
+    assert run(argv) == 2
+    assert "usage: raagembed" in capsys.readouterr().err
+
+
+def test_help_lists_only_the_flags_a_command_reads(capsys):
+    assert run(["counterexample", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--out" in out
+    for flag in ("--graph", "--convention", "--radius", "--length", "--seed"):
+        assert flag not in out
 
 
 def test_console_entry_point_runs():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from raagembed import constructions
 from raagembed.constructions import (
     build_t2_pipeline,
     certify_non_embeddability,
@@ -12,6 +13,7 @@ from raagembed.constructions import (
     move_deg3,
     t2_graph,
 )
+from raagembed.errors import InvariantViolation
 from raagembed.extgraph import format_ext_vertex, induced_ext_subgraph
 from raagembed.graphs import (
     SimplicialGraph,
@@ -163,6 +165,15 @@ def test_certificates():
     assert len(cert["cases"]) == 6
     assert certify_non_embeddability(make_path(9)) is None
     assert certify_non_embeddability(FIG6_TREE) is None
+
+
+def test_certificate_checks_its_own_tuple(monkeypatch):
+    t2 = t2_graph()
+    roles = certify_non_embeddability(t2)["roles"]
+    swapped = dict(roles, a=roles["b"], b=roles["a"])
+    monkeypatch.setattr(constructions, "find_tripod_obstruction", lambda g: swapped)
+    with pytest.raises(InvariantViolation):
+        certify_non_embeddability(t2)
 
 
 def test_counterexample_report():

@@ -5,7 +5,6 @@ import pytest
 
 from raagembed.errors import GraphParseError
 from raagembed.extgraph import (
-    conjugate_ext,
     enumerate_vertices,
     ext_adjacent,
     ext_vertex,
@@ -107,8 +106,8 @@ def test_conjugation_equivariance():
     conjs = [(), word("x2"), word("x1", "x2"), word("x3", "x3")]
     for u, v in combinations(pool, 2):
         for gword in conjs:
-            ug = conjugate_ext(P5, u, gword)
-            vg = conjugate_ext(P5, v, gword)
+            ug = ext_vertex(P5, u.base, u.conjugator + gword)
+            vg = ext_vertex(P5, v.base, v.conjugator + gword)
             assert ext_adjacent(P5, u, v) == ext_adjacent(P5, ug, vg)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from raagembed.constructions import obstruction_holds
 from raagembed.errors import GraphParseError
 from raagembed.graphs import (
     SimplicialGraph,
@@ -151,6 +152,9 @@ def test_tripod_obstruction_on_the_tripod():
         "x": "x", "p": "a2", "q": "b2", "r": "c2",
         "a": "a1", "b": "b1", "c": "c1",
     }
+    assert obstruction_holds(t2, roles)
+    swapped = dict(roles, a=roles["b"], b=roles["a"])
+    assert not obstruction_holds(t2, swapped)
 
 
 def test_tripod_obstruction_absent_on_paths_and_hairy_trees():

@@ -1,25 +1,19 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from raagembed.constructions import move_deg3, t2_graph
-from raagembed.errors import GraphParseError
-from raagembed.graphs import SimplicialGraph, format_graph, make_cycle, make_path, remove
+from raagembed.graphs import SimplicialGraph, make_cycle, make_path, remove
 from raagembed.homs import (
     GraphHom,
     GroupMap,
+    InducedHom,
     bounded_injectivity,
     check_graph_hom,
     check_relator_preservation,
     check_support_propagation,
     check_surviving,
     compose,
-    format_hom_file,
-    induced_hom,
     kill_generators,
-    load_hom,
-    parse_hom_file,
 )
 from raagembed.words import (
     Letter,
@@ -38,7 +32,7 @@ P5 = make_path(5)
 
 
 def identity_hom(g):
-    return induced_hom(GraphHom(g, g, {v: v for v in g.vertices}))
+    return InducedHom(GraphHom(g, g, {v: v for v in g.vertices}))
 
 
 def test_check_graph_hom_identity_and_collapse():
@@ -93,7 +87,7 @@ def test_killing_the_new_vertices_undoes_the_hexagon_move():
     move = move_deg3(t2, "x")
     g1p = remove(t2, {"a"})
     g2p = remove(move.new_graph, {"a1"})
-    phi1 = induced_hom(
+    phi1 = InducedHom(
         GraphHom(g2p, g1p, {v: move.hom(v) for v in g2p.vertices})
     )
     x1, x2, x3 = move.new_labels
@@ -231,7 +225,7 @@ def test_support_propagation_on_the_hexagon_instance():
     move = move_deg3(t2, "x")
     g1p = remove(t2, {"a"})
     g2p = remove(move.new_graph, {"a1"})
-    phi1 = induced_hom(
+    phi1 = InducedHom(
         GraphHom(g2p, g1p, {v: move.hom(v) for v in g2p.vertices})
     )
     report = check_support_propagation(phi1, "x", {"x2", "x3"}, 3)
@@ -256,22 +250,3 @@ def test_compose_chains_images():
     chained = compose(idmap, move.induced)
     assert chained.images == move.induced.images
 
-
-def test_hom_file_roundtrip(tmp_path):
-    t2 = t2_graph()
-    move = move_deg3(t2, "x")
-    (tmp_path / "old.graph").write_text(format_graph(t2))
-    (tmp_path / "new.graph").write_text(format_graph(move.new_graph))
-    text = format_hom_file(move.hom, "new.graph", "old.graph")
-    hom_path = tmp_path / "collapse.hom"
-    hom_path.write_text(text)
-    loaded = load_hom(str(hom_path))
-    assert loaded.mapping == move.hom.mapping
-    assert check_graph_hom(loaded)
-
-
-def test_hom_file_errors():
-    with pytest.raises(GraphParseError):
-        parse_hom_file("map: a -> b\n", name="x.hom")
-    with pytest.raises(GraphParseError):
-        parse_hom_file("source: nope\n", name="x.hom", directory="/nonexistent")
