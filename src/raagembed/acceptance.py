@@ -329,7 +329,7 @@ def criterion_10():
         for t in all_trees(n):
             trees_checked += 1
             dec = is_hairy_path(t)
-            tripod_free = not find_induced_embeddings(t2, t, max_results=1)
+            tripod_free = next(find_induced_embeddings(t2, t), None) is None
             if (dec is not None) != tripod_free:
                 equivalence_failures.append((n, t.vertices, t.edges))
                 continue

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance
@@ -313,6 +314,15 @@ def _nonnegative_int(text):
     return value
 
 
+def _out_path(text):
+    """argparse type for --out: the report is written only after the
+    command has run, so a missing directory must fail before it."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory!r}")
+    return text
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="raagembed",
@@ -340,7 +350,7 @@ def _build_parser():
                 "--radius", type=_nonnegative_int, default=radius,
                 help=f"conjugator length bound (default {radius})",
             )
-        p.add_argument("--out", help="write a JSON report here")
+        p.add_argument("--out", type=_out_path, help="write a JSON report here")
         return p
 
     add("reduce", _cmd_reduce, "reduce a word", tokens="LETTER")

@@ -285,7 +285,7 @@ class PipelineResult:
     external: dict
     ends_in_cycle12: bool
     relators_preserved: bool
-    injectivity: dict = None
+    injectivity: dict
 
     def chain_description(self):
         names = ["tripod T(2,2,2)"]
@@ -317,12 +317,12 @@ EXTERNAL_CYCLE_TO_PATH = {
 }
 
 
-def build_t2_pipeline(length=None):
+def build_t2_pipeline(length):
     """Chain the hexagon move and the leaf-path moves from the tripod
     T(2,2,2) down to the 12-cycle, composing the group maps; the last hop
     to the 22-vertex path is a recorded citation, not a computed map.
 
-    ``length`` triggers the bounded injectivity check of the composite.
+    ``length`` bounds the injectivity check of the composite.
     """
     t2 = t2_graph()
     moves = [move_deg3(t2, "x")]
@@ -344,7 +344,7 @@ def build_t2_pipeline(length=None):
     relators = check_relator_preservation(chain)
     if not ends or not relators:
         raise InvariantViolation("pipeline did not reach the 12-cycle cleanly")
-    inj = bounded_injectivity(chain, length) if length else None
+    inj = bounded_injectivity(chain, length)
     return PipelineResult(
         stages=[t2] + [m.new_graph for m in moves],
         moves=moves,

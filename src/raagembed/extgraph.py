@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphParseError, InvariantViolation
-from .graphs import make_path
+from .graphs import induced_maps, make_path
 from .words import (
     Letter,
     commute_elements,
@@ -300,27 +300,11 @@ def search_induced_embedding_ext(pattern, g, radius):
             rows[a] = got
         return got
 
-    def anchor_assignments(level, chosen):
-        if level == len(anchor_order):
-            yield dict(chosen)
-            return
-        pv = anchor_order[level]
-        for cand in base_domain:
-            if cand in chosen.values():
-                continue
-            if all(
-                eadj(cand, ci) == pattern.adjacent(pv, pu)
-                for pu, ci in chosen.items()
-            ):
-                chosen[pv] = cand
-                yield from anchor_assignments(level + 1, chosen)
-                del chosen[pv]
-
     everything = (1 << len(pool)) - 1
-    for amap in anchor_assignments(0, {}):
-        taken = set(amap.values())
+    anchor_domains = dict.fromkeys(anchor_order, base_domain)
+    for amap in induced_maps(pattern, anchor_order, anchor_domains, eadj):
         free = everything
-        for ai in taken:
+        for ai in amap.values():
             free &= ~(1 << ai)
         domains = {}
         for rv in rest:
@@ -332,34 +316,10 @@ def search_induced_embedding_ext(pattern, g, radius):
         if any(not d for d in domains.values()):
             continue
         order = sorted(rest, key=lambda v: (len(domains[v]), pattern.index(v)))
-        assignment = {}
-        used = set(taken)
-
-        def extend(level):
-            if level == len(order):
-                return dict(assignment)
-            pv = order[level]
-            for cand in domains[pv]:
-                if cand in used:
-                    continue
-                if all(
-                    eadj(cand, ci) == pattern.adjacent(pv, pu)
-                    for pu, ci in assignment.items()
-                ):
-                    assignment[pv] = cand
-                    used.add(cand)
-                    found = extend(level + 1)
-                    if found is not None:
-                        return found
-                    del assignment[pv]
-                    used.discard(cand)
-            return None
-
-        found = extend(0)
+        found = next(induced_maps(pattern, order, domains, eadj), None)
         if found is not None:
-            full = dict(amap)
-            full.update(found)
-            return {pv: pool[i] for pv, i in full.items()}
+            amap.update(found)
+            return {pv: pool[i] for pv, i in amap.items()}
     return None
 
 

@@ -189,43 +189,50 @@ def is_tree(g):
     return is_connected(g) and len(g.edges) == len(g) - 1
 
 
-def find_induced_embeddings(pattern, target, max_results=None):
-    """Injective vertex maps pattern -> target preserving adjacency and
-    non-adjacency.
+def induced_maps(pattern, order, domains, adjacent):
+    """Yield, depth first, the injective maps of the pattern vertices
+    ``order`` that preserve adjacency and non-adjacency.
+
+    Vertex v tries the candidates of ``domains[v]`` in order; a candidate
+    c for order[k] is kept when adjacent(c, image of order[j]) equals
+    pattern.adjacent(order[k], order[j]) for every j < k. Each map is a
+    new dict whose keys follow ``order``.
+    """
+    wants = [
+        [(j, pattern.adjacent(v, order[j])) for j in range(k)]
+        for k, v in enumerate(order)
+    ]
+    chosen = []
+
+    def extend(k):
+        if k == len(order):
+            yield dict(zip(order, chosen))
+            return
+        for c in domains[order[k]]:
+            if c not in chosen and all(
+                adjacent(c, chosen[j]) == want for j, want in wants[k]
+            ):
+                chosen.append(c)
+                yield from extend(k + 1)
+                chosen.pop()
+
+    yield from extend(0)
+
+
+def find_induced_embeddings(pattern, target):
+    """Yield the injective vertex maps pattern -> target preserving
+    adjacency and non-adjacency.
 
     Pattern vertices are processed in descending-degree order (ties by
     canonical order); target candidates are tried in canonical order, so
-    the result list is deterministic. ``max_results=None`` means all.
+    the maps come in a deterministic order.
     """
     order = sorted(
         pattern.vertices, key=lambda v: (-pattern.degree(v), pattern.index(v))
     )
-    results = []
-    assignment = {}
-    used = set()
-
-    def extend(k):
-        if max_results is not None and len(results) >= max_results:
-            return
-        if k == len(order):
-            results.append(dict(assignment))
-            return
-        v = order[k]
-        for w in target.vertices:
-            if w in used:
-                continue
-            if all(
-                pattern.adjacent(u, v) == target.adjacent(wu, w)
-                for u, wu in assignment.items()
-            ):
-                assignment[v] = w
-                used.add(w)
-                extend(k + 1)
-                del assignment[v]
-                used.discard(w)
-
-    extend(0)
-    return results
+    yield from induced_maps(
+        pattern, order, dict.fromkeys(order, target.vertices), target.adjacent
+    )
 
 
 def is_isomorphic(g, h):
@@ -235,7 +242,7 @@ def is_isomorphic(g, h):
     degs = sorted(g.degree(v) for v in g.vertices)
     if degs != sorted(h.degree(v) for v in h.vertices):
         return False
-    return bool(find_induced_embeddings(g, h, max_results=1))
+    return next(find_induced_embeddings(g, h), None) is not None
 
 
 @dataclass(frozen=True)

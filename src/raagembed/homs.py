@@ -13,7 +13,6 @@ from .words import (
     canonical_words,
     commute_elements,
     extend_reduced,
-    find_cancellation,
     format_word,
     inverse,
     reduced_words,
@@ -169,18 +168,35 @@ def bounded_injectivity(m, max_len):
 
 def check_surviving(m, v_prime, max_len):
     """Bounded check that the literal image of every reduced domain word
-    keeps the letter v_prime alive (no innermost cancellation of it).
+    keeps the letter v_prime alive: no two v_prime letters of opposite
+    signs with neither a v_prime letter nor a link letter between them
+    (an innermost cancellation of v_prime).
 
     Every reduced word is enumerated, not one per element: distinct
-    representatives have distinct literal images.
+    representatives have distinct literal images. One state is stacked
+    per depth of the preorder: whether the image has such a pair, and the
+    sign of its last v_prime letter (0 once a link letter follows it).
     """
     if v_prime not in m.codomain:
         raise ValueError(f"unknown vertex {v_prime!r}")
+    link = m.codomain.neighbors(v_prime)
     checked = 0
     violations = []
+    stack = [(False, 0)]
     for w in reduced_words(m.domain, max_len):
         checked += 1
-        if find_cancellation(m.codomain, m.apply(w), v_prime) is not None:
+        if not w:
+            continue
+        del stack[len(w):]
+        cancelled, last = stack[-1]
+        for base, sign in m.apply(w[-1:]):
+            if base == v_prime:
+                cancelled = cancelled or sign == -last
+                last = sign
+            elif base in link:
+                last = 0
+        stack.append((cancelled, last))
+        if cancelled:
             violations.append(format_word(w))
     return {
         "vertex": v_prime,

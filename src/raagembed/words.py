@@ -49,17 +49,14 @@ def letter_key(g, lt):
     return (g.index(lt.base), 0 if lt.sign > 0 else 1)
 
 
-def find_cancellation(g, w, base=None):
-    """Positions (i, j) of an innermost cancellation, or None; with
-    ``base``, only a pair of that base.
+def find_cancellation(g, w):
+    """Positions (i, j) of an innermost cancellation, or None.
 
     The pair carries inverse letters of one base v with every strictly
     interior letter outside the link of v and no occurrence of v between;
     a word admits no such pair exactly when it is reduced.
     """
     for i, lt in enumerate(w):
-        if base is not None and lt.base != base:
-            continue
         nbrs = g.neighbors(lt.base)
         for j in range(i + 1, len(w)):
             m = w[j]

@@ -136,6 +136,19 @@ def test_pipeline_command(capsys, tmp_path):
     assert data["external"]["verified_by_this_tool"] is False
 
 
+def test_pipeline_command_at_length_zero(capsys):
+    assert run(["pipeline-t2", "--length", "0"]) == 0
+    assert "0 elements up to length 0" in capsys.readouterr().out
+
+
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "x.json"
+    assert run(["counterexample", "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no such directory" in captured.err
+
+
 def test_hairy_on_the_tripod_emits_a_certificate(capsys, t2_file):
     assert run(["hairy", "--graph", t2_file]) == 0
     out = capsys.readouterr().out

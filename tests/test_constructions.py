@@ -111,7 +111,7 @@ def test_pipeline_reaches_the_twelve_cycle():
 
 
 def test_pipeline_composite_is_relator_preserving_standalone():
-    pipe = build_t2_pipeline(length=None)
+    pipe = build_t2_pipeline(length=0)
     assert check_relator_preservation(pipe.composite)
     assert bounded_injectivity(pipe.composite, 3)["violations"] == []
 
@@ -185,7 +185,7 @@ def test_counterexample_report():
 
 
 def test_label_collisions_get_primed():
-    pipe = build_t2_pipeline(length=None)
+    pipe = build_t2_pipeline(length=0)
     second = pipe.moves[1]
     assert second.kind == "deg1k" and second.vertex == "a1"
     assert second.new_labels == ("x1'", "x2'", "x3'")

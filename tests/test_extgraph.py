@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,6 +19,7 @@ from raagembed.extgraph import (
 )
 from raagembed.graphs import (
     SimplicialGraph,
+    all_trees,
     is_isomorphic,
     make_cycle,
     make_path,
@@ -270,6 +271,37 @@ def test_search_finds_the_hairy_tree_witness():
 def test_search_returns_none_for_the_tripod_at_small_radius():
     t2 = make_tripod(2, 2, 2)
     assert search_induced_embedding_ext(t2, make_path(6), 2) is None
+
+
+def _reference_search(pattern, g, radius):
+    """Slow reference for the anchored search: every injective choice of
+    base generators for the anchors and of pool vertices for the rest,
+    accepted by verify_witness."""
+    pool = enumerate_vertices(g, radius)
+    anchors = lex_first_max_independent_set(pattern)
+    rest = [v for v in pattern.vertices if v not in anchors]
+    bases = [ext_vertex(g, b) for b in g.vertices]
+    for anchor_images in permutations(bases, len(anchors)):
+        others = [v for v in pool if v not in anchor_images]
+        for rest_images in permutations(others, len(rest)):
+            witness = dict(zip(anchors, anchor_images))
+            witness.update(zip(rest, rest_images))
+            if verify_witness(pattern, g, witness):
+                return witness
+    return None
+
+
+@pytest.mark.parametrize(
+    "n,radius", [(n, r) for n in range(3, 6) for r in range(2)]
+)
+def test_search_agrees_with_the_reference(n, radius):
+    g = make_path(n)
+    for k in range(1, 6):
+        for t in all_trees(k):
+            found = search_induced_embedding_ext(t, g, radius)
+            want = _reference_search(t, g, radius)
+            assert (found is None) == (want is None), t
+            assert found is None or verify_witness(t, g, found)
 
 
 STAR = SimplicialGraph(

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -98,21 +100,21 @@ def test_independence_components_tree():
 def test_find_induced_embeddings_edge_into_path():
     p2 = make_path(2)
     p3 = make_path(3)
-    maps = find_induced_embeddings(p2, p3)
+    maps = list(find_induced_embeddings(p2, p3))
     assert maps == [
         {"x1": "x1", "x2": "x2"},
         {"x1": "x2", "x2": "x1"},
         {"x1": "x2", "x2": "x3"},
         {"x1": "x3", "x2": "x2"},
     ]
-    assert find_induced_embeddings(p2, p3, max_results=2) == maps[:2]
+    assert list(islice(find_induced_embeddings(p2, p3), 2)) == maps[:2]
 
 
 def test_find_induced_embeddings_negative_cases():
     t2 = make_tripod(2, 2, 2)
-    assert find_induced_embeddings(t2, make_path(22), max_results=1) == []
+    assert next(find_induced_embeddings(t2, make_path(22)), None) is None
     # an induced three-vertex path needs a non-edge; the triangle has none
-    assert find_induced_embeddings(make_path(3), make_cycle(3)) == []
+    assert list(find_induced_embeddings(make_path(3), make_cycle(3))) == []
 
 
 def test_embeddings_preserve_the_whole_adjacency_matrix():
@@ -123,6 +125,50 @@ def test_embeddings_preserve_the_whole_adjacency_matrix():
             for v in t.vertices:
                 if u != v:
                     assert t.adjacent(u, v) == g.adjacent(m[u], m[v])
+
+
+def _brute_force_embeddings(pattern, target):
+    """Every injective map in the degree order, kept when it preserves
+    adjacency and non-adjacency, sorted by the target indices."""
+    order = sorted(
+        pattern.vertices, key=lambda v: (-pattern.degree(v), pattern.index(v))
+    )
+    maps = [
+        dict(zip(order, images))
+        for images in permutations(target.vertices, len(order))
+        if all(
+            pattern.adjacent(u, v) == target.adjacent(images[i], images[j])
+            for (i, u), (j, v) in combinations(enumerate(order), 2)
+        )
+    ]
+    return sorted(maps, key=lambda m: [target.index(m[v]) for v in order])
+
+
+def _random_graph(rng, n, prefix):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+    return SimplicialGraph(labels, edges)
+
+
+def _embedding_cases():
+    targets = [make_path(n) for n in range(3, 7)] + [make_cycle(n) for n in range(4, 7)]
+    for n in range(1, 6):
+        for t in all_trees(n):
+            for g in targets:
+                yield t, g
+    rng = random.Random(5)
+    for _ in range(40):
+        yield (
+            _random_graph(rng, rng.randint(1, 4), "p"),
+            _random_graph(rng, rng.randint(3, 6), "t"),
+        )
+
+
+def test_find_induced_embeddings_matches_brute_force():
+    for pattern, target in _embedding_cases():
+        got = [list(m.items()) for m in find_induced_embeddings(pattern, target)]
+        want = [list(m.items()) for m in _brute_force_embeddings(pattern, target)]
+        assert got == want, (pattern, target)
 
 
 FIG6_TREE = SimplicialGraph(

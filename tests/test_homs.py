@@ -19,11 +19,11 @@ from raagembed.words import (
     Letter,
     canonical_words,
     equal,
-    find_cancellation,
     format_word,
     inverse,
     is_trivial,
     parse_word,
+    reduced_words,
     support,
     word,
 )
@@ -163,6 +163,36 @@ def _naive_support_propagation(m, trigger, required, max_len):
     }
 
 
+def _base_cancellation(g, w, base):
+    """Positions (i, j) of an innermost cancellation of two ``base``
+    letters in the literal word w, or None."""
+    for i, lt in enumerate(w):
+        if lt.base != base:
+            continue
+        for j in range(i + 1, len(w)):
+            if w[j].base == base:
+                if w[j].sign == -lt.sign:
+                    return (i, j)
+                break
+            if w[j].base in g.neighbors(base):
+                break
+    return None
+
+
+def _naive_surviving(m, v_prime, max_len):
+    checked, violations = 0, []
+    for w in reduced_words(m.domain, max_len):
+        checked += 1
+        if _base_cancellation(m.codomain, m.apply(w), v_prime) is not None:
+            violations.append(format_word(w))
+    return {
+        "vertex": v_prime,
+        "bound": max_len,
+        "checked": checked,
+        "violations": violations,
+    }
+
+
 def _random_graph(rng, n, prefix):
     labels = [f"{prefix}{i}" for i in range(n)]
     edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
@@ -205,14 +235,16 @@ def test_bounded_checks_match_the_naive_references():
         assert fast["violations"]
         fast = check_support_propagation(m, trigger, required, max_len)
         assert fast == _naive_support_propagation(m, trigger, required, max_len)
+        for v in m.codomain.vertices:
+            assert check_surviving(m, v, max_len) == _naive_surviving(m, v, max_len)
 
 
 def test_innermost_cancellation_detector():
     w = parse_word("x2 x3 x2^-1")
-    assert find_cancellation(P5, w, "x2") is None
+    assert _base_cancellation(P5, w, "x2") is None
     w = parse_word("x2 x4 x2^-1")
-    assert find_cancellation(P5, w, "x2") == (0, 2)
-    assert find_cancellation(P5, w, "x4") is None
+    assert _base_cancellation(P5, w, "x2") == (0, 2)
+    assert _base_cancellation(P5, w, "x4") is None
 
 
 def test_surviving_identity_hom():
