@@ -316,10 +316,13 @@ def _nonnegative_int(text):
 
 def _out_path(text):
     """argparse type for --out: the report is written only after the
-    command has run, so a missing directory must fail before it."""
+    command has run, so a missing directory, or a path that is itself a
+    directory, must fail before it."""
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"no such directory: {directory!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
     return text
 
 

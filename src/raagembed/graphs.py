@@ -17,10 +17,11 @@ class SimplicialGraph:
     """Finite undirected loop-free graph.
 
     Vertices are short string labels; ``vertices`` fixes the canonical
-    total order. Edges are stored as index-sorted pairs.
+    total order. Edges are stored as index-sorted pairs. ``_alphabet``
+    holds the letter-id tables of ``words``, built on first use.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_nbrs")
+    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -47,6 +48,7 @@ class SimplicialGraph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
+        self._alphabet = None
 
     def __contains__(self, v):
         return v in self._index

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from .words import (
     Letter,
-    canonical_words,
+    _alphabet,
+    _extend_reduced_ids,
+    _words,
     commute_elements,
-    extend_reduced,
     format_word,
     inverse,
-    reduced_words,
 )
 
 
@@ -139,17 +139,39 @@ def check_relator_preservation(m):
     return True
 
 
+def _check_bound(max_len):
+    if max_len < 0:
+        raise ValueError(f"negative bound {max_len}")
+
+
+def _image_codes(m):
+    """The codomain letter ids of the image of each domain letter id."""
+    ids = _alphabet(m.codomain).ids
+    codes = []
+    for v in m.domain.vertices:
+        codes.append(tuple(ids[lt] for lt in m.images[v]))
+        codes.append(tuple(ids[lt] for lt in m.inverse_images[v]))
+    return codes
+
+
+def _format_ids(g, w):
+    letters = _alphabet(g).letters
+    return format_word(letters[c] for c in w)
+
+
 def _reduced_images(m, max_len):
-    """Yield (w, reduced image of w) for each nonempty canonical domain
-    word of length <= max_len. The words come in depth-first preorder, so
-    the image of w extends the stacked image of w[:-1]. The yielded list
-    must not be modified."""
+    """Yield (w, reduced image of w) as letter ids for each nonempty
+    canonical domain word of length <= max_len. The words come in
+    depth-first preorder, so the image of w extends the stacked image of
+    w[:-1]. The yielded list must not be modified."""
+    stops = _alphabet(m.codomain).stops
+    codes = _image_codes(m)
     stack = [[]]
-    for w in canonical_words(m.domain, max_len):
+    for w in _words(m.domain, max_len, True):
         if w:
             del stack[len(w):]
             image = stack[-1].copy()
-            extend_reduced(m.codomain, image, m.apply(w[-1:]))
+            _extend_reduced_ids(stops, image, codes[w[-1]])
             stack.append(image)
             yield w, image
 
@@ -157,12 +179,13 @@ def _reduced_images(m, max_len):
 def bounded_injectivity(m, max_len):
     """Check that no nontrivial domain element of length <= max_len maps
     to the identity; one canonical word per element is enumerated."""
+    _check_bound(max_len)
     checked = 0
     violations = []
     for w, image in _reduced_images(m, max_len):
         checked += 1
         if not image:
-            violations.append(format_word(w))
+            violations.append(_format_ids(m.domain, w))
     return {"bound": max_len, "checked": checked, "violations": violations}
 
 
@@ -175,29 +198,33 @@ def check_surviving(m, v_prime, max_len):
     Every reduced word is enumerated, not one per element: distinct
     representatives have distinct literal images. One state is stacked
     per depth of the preorder: whether the image has such a pair, and the
-    sign of its last v_prime letter (0 once a link letter follows it).
+    id of its last v_prime letter (-1 once a link letter follows it).
     """
     if v_prime not in m.codomain:
         raise ValueError(f"unknown vertex {v_prime!r}")
-    link = m.codomain.neighbors(v_prime)
+    _check_bound(max_len)
+    p = 2 * m.codomain.index(v_prime)
+    stop = _alphabet(m.codomain).stops[p]
+    codes = _image_codes(m)
     checked = 0
     violations = []
-    stack = [(False, 0)]
-    for w in reduced_words(m.domain, max_len):
+    stack = [(False, -1)]
+    for w in _words(m.domain, max_len, False):
         checked += 1
         if not w:
             continue
         del stack[len(w):]
         cancelled, last = stack[-1]
-        for base, sign in m.apply(w[-1:]):
-            if base == v_prime:
-                cancelled = cancelled or sign == -last
-                last = sign
-            elif base in link:
-                last = 0
+        for d in codes[w[-1]]:
+            if stop >> d & 1:
+                if d | 1 == p | 1:
+                    cancelled = cancelled or d == last ^ 1
+                    last = d
+                else:
+                    last = -1
         stack.append((cancelled, last))
         if cancelled:
-            violations.append(format_word(w))
+            violations.append(_format_ids(m.domain, w))
     return {
         "vertex": v_prime,
         "bound": max_len,
@@ -210,15 +237,23 @@ def check_support_propagation(m, trigger, required, max_len):
     """Bounded check: every element whose support contains ``trigger``
     has an image whose support meets ``required``. A canonical word is
     reduced, so its support is the set of its bases."""
+    if trigger not in m.domain:
+        raise ValueError(f"unknown trigger vertex {trigger!r}")
     required = frozenset(required)
+    for v in required:
+        if v not in m.codomain:
+            raise ValueError(f"unknown required vertex {v!r}")
+    _check_bound(max_len)
+    t = 2 * m.domain.index(trigger)
+    wanted = sum(3 << 2 * m.codomain.index(v) for v in required)
     checked = 0
     violations = []
     for w, image in _reduced_images(m, max_len):
-        if all(lt.base != trigger for lt in w):
+        if t not in w and t + 1 not in w:
             continue
         checked += 1
-        if required.isdisjoint(lt.base for lt in image):
-            violations.append(format_word(w))
+        if not any(wanted >> d & 1 for d in image):
+            violations.append(_format_ids(m.domain, w))
     return {
         "trigger": trigger,
         "required": sorted(required),
@@ -226,4 +261,3 @@ def check_support_propagation(m, trigger, required, max_len):
         "checked": checked,
         "violations": violations,
     }
-

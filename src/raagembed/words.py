@@ -73,11 +73,14 @@ def is_reduced(g, w):
     return find_cancellation(g, w) is None
 
 
-def extend_reduced(g, out, w):
-    """Multiply the reduced word ``out`` (a list) by w in place, keeping
-    it reduced. Each letter scans back through the letters it commutes
-    with: it deletes the first inverse it meets, and stops at a letter of
-    its own base and sign or of its link, where it is appended."""
+def reduce(g, w):
+    """Reduced word for w in one left-to-right pass: each letter scans
+    back through the letters it commutes with, deletes the first inverse
+    it meets, and stops at a letter of its own base and sign or of its
+    link, where it is appended. The result is the word that deleting
+    innermost cancellation pairs until none is left also leaves, letter
+    for letter."""
+    out = []
     for lt in w:
         base, sign = lt
         link = g.neighbors(base)
@@ -96,14 +99,6 @@ def extend_reduced(g, out, w):
                 break
         else:
             out.append(lt)
-
-
-def reduce(g, w):
-    """Reduced word for w in one left-to-right pass of ``extend_reduced``:
-    the word that deleting innermost cancellation pairs until none is
-    left also leaves, letter for letter."""
-    out = []
-    extend_reduced(g, out, w)
     return tuple(out)
 
 
@@ -178,63 +173,95 @@ def check_lemma_comm1(g, a, w):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of words, one canonical representative per element or every
-# reduced word, by letter-by-letter extension.
+# Integer letter ids. The letter of sign s on the vertex of index i has id
+# 2*i + (s < 0), so id order is vertex order, positive sign first. The
+# enumerator and the bounded hom walks run on ids; strings come back only
+# when a word is decoded or formatted.
 
 
-def _letters(g):
-    out = []
-    for v in g.vertices:
-        out.append(Letter(v, 1))
-        out.append(Letter(v, -1))
-    return out
+class _Alphabet(NamedTuple):
+    letters: tuple  # the Letter of each id
+    ids: dict  # the id of each Letter
+    stops: tuple  # per id: the ids of both signs of its base and neighbours
+
+
+def _alphabet(g):
+    """The id tables of g, built on first use and kept in its one slot.
+    ``stops[c]`` is the neighbour bitmask of c's vertex, in ids, plus
+    that vertex: the letters that end c's backward scan."""
+    a = g._alphabet
+    if a is None:
+        letters = tuple(Letter(v, s) for v in g.vertices for s in (1, -1))
+        ids = {lt: c for c, lt in enumerate(letters)}
+        stops = []
+        for i, v in enumerate(g.vertices):
+            mask = sum(3 << 2 * g.index(u) for u in g.neighbors(v)) | 3 << 2 * i
+            stops += (mask, mask)
+        a = g._alphabet = _Alphabet(letters, ids, tuple(stops))
+    return a
+
+
+def _extend_reduced_ids(stops, out, w):
+    """The pass of ``reduce`` on letter ids: multiply the reduced id list
+    ``out`` by the ids w in place, keeping it reduced."""
+    for c in w:
+        stop = stops[c]
+        i = len(out)
+        while i:
+            i -= 1
+            d = out[i]
+            if stop >> d & 1:
+                if d == c ^ 1:
+                    del out[i]
+                else:
+                    out.append(c)
+                break
+        else:
+            out.append(c)
 
 
 def _words(g, max_len, canonical):
     """Depth-first preorder over the reduced words of length <= max_len,
-    extended in letter order; with ``canonical``, one word per element.
+    as id tuples extended in id order; with ``canonical``, one word per
+    element.
 
-    A new letter is rejected if it cancels, or (with ``canonical``) if it
-    could shuffle ahead of a larger letter: the scan walks back through
-    the letters commuting with it and stops at the first link letter.
+    Each stacked word carries the mask of ids that may not extend it.
+    Appending c clears the bits of its base and link, since their
+    backward scans now stop at c, which was allowed; it sets the bit of
+    its inverse, which would cancel; and, with ``canonical``, it sets the
+    bits of every lower-indexed vertex commuting with c, whose letters
+    could shuffle ahead of c.
     """
-    letters = _letters(g)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = {v: g.neighbors(v) for v in g.vertices}
-
-    def blocked(w, base, sign):
-        link = nbrs[base]
-        k = index[base]
-        for b, s in reversed(w):
-            if b == base:
-                if s != sign:
-                    return True
-                continue
-            if b in link:
-                return False
-            # distinct bases: the letter order is the vertex order
-            if canonical and index[b] > k:
-                return True
-        return False
-
-    stack = [()]
+    keep, add = [], []
+    for c, stop in enumerate(_alphabet(g).stops):
+        keep.append(~stop)
+        low = ((1 << (c & ~1)) - 1) & ~stop if canonical else 0
+        add.append(1 << (c ^ 1) | low)
+    top = range(2 * len(g) - 1, -1, -1)
+    stack = [((), 0)]
     while stack:
-        w = stack.pop()
+        w, blocked = stack.pop()
         yield w
         if len(w) < max_len:
-            stack.extend(
-                w + (lt,) for lt in reversed(letters) if not blocked(w, *lt)
-            )
+            stack += [
+                (w + (c,), blocked & keep[c] | add[c])
+                for c in top
+                if not blocked >> c & 1
+            ]
 
 
 def canonical_words(g, max_len):
     """Yield the canonical reduced word of every element of length <= max_len."""
-    yield from _words(g, max_len, canonical=True)
+    letters = _alphabet(g).letters
+    for w in _words(g, max_len, canonical=True):
+        yield tuple([letters[c] for c in w])
 
 
 def reduced_words(g, max_len):
     """Yield every reduced word of length <= max_len (all representatives)."""
-    yield from _words(g, max_len, canonical=False)
+    letters = _alphabet(g).letters
+    for w in _words(g, max_len, canonical=False):
+        yield tuple([letters[c] for c in w])
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,13 @@ def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
     assert "no such directory" in captured.err
 
 
+def test_out_naming_a_directory_exits_2(capsys, tmp_path):
+    assert run(["counterexample", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is a directory" in captured.err
+
+
 def test_hairy_on_the_tripod_emits_a_certificate(capsys, t2_file):
     assert run(["hairy", "--graph", t2_file]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,16 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from raagembed.constructions import move_deg3, t2_graph
-from raagembed.graphs import SimplicialGraph, make_cycle, make_path, remove
+from raagembed.graphs import (
+    SimplicialGraph,
+    make_cycle,
+    make_path,
+    make_tripod,
+    remove,
+)
 from raagembed.homs import (
     GraphHom,
     GroupMap,
@@ -134,9 +142,42 @@ def test_bounded_injectivity_detects_a_killed_generator():
     assert "x1" in report["violations"]
 
 
+def _reference_words(g, max_len, canonical):
+    """The Letter enumerator that the id enumerator replaced, kept so that
+    the naive references below share no code with the checks: depth-first
+    preorder over the reduced words of length <= max_len, extended in
+    letter order; each new letter scans back through the letters
+    commuting with it and is rejected if it cancels or, with
+    ``canonical``, if it could shuffle ahead of a larger letter."""
+    letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+    index = {v: i for i, v in enumerate(g.vertices)}
+
+    def blocked(w, base, sign):
+        link = g.neighbors(base)
+        for b, s in reversed(w):
+            if b == base:
+                if s != sign:
+                    return True
+                continue
+            if b in link:
+                return False
+            if canonical and index[b] > index[base]:
+                return True
+        return False
+
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < max_len:
+            stack.extend(
+                w + (lt,) for lt in reversed(letters) if not blocked(w, *lt)
+            )
+
+
 def _naive_injectivity(m, max_len):
     checked, violations = 0, []
-    for w in canonical_words(m.domain, max_len):
+    for w in _reference_words(m.domain, max_len, True):
         if not w:
             continue
         checked += 1
@@ -148,7 +189,7 @@ def _naive_injectivity(m, max_len):
 def _naive_support_propagation(m, trigger, required, max_len):
     required = frozenset(required)
     checked, violations = 0, []
-    for w in canonical_words(m.domain, max_len):
+    for w in _reference_words(m.domain, max_len, True):
         if trigger not in support(m.domain, w):
             continue
         checked += 1
@@ -181,7 +222,7 @@ def _base_cancellation(g, w, base):
 
 def _naive_surviving(m, v_prime, max_len):
     checked, violations = 0, []
-    for w in reduced_words(m.domain, max_len):
+    for w in _reference_words(m.domain, max_len, False):
         checked += 1
         if _base_cancellation(m.codomain, m.apply(w), v_prime) is not None:
             violations.append(format_word(w))
@@ -197,6 +238,31 @@ def _random_graph(rng, n, prefix):
     labels = [f"{prefix}{i}" for i in range(n)]
     edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
     return SimplicialGraph(labels, edges)
+
+
+def _shuffled_graph(rng, n, prefix):
+    """A random graph whose vertex order is not the order of its labels."""
+    g = _random_graph(rng, n, prefix)
+    labels = list(g.vertices)
+    rng.shuffle(labels)
+    return SimplicialGraph(labels, g.edges)
+
+
+def _enumerator_graphs():
+    yield from (make_path(n) for n in range(1, 8))
+    yield from (make_cycle(n) for n in range(4, 7))
+    yield make_tripod(1, 1, 1)
+    rng = random.Random(8)
+    for _ in range(8):
+        yield _shuffled_graph(rng, rng.randint(3, 6), "r")
+
+
+def test_enumerators_equal_the_reference_in_order():
+    for g in _enumerator_graphs():
+        max_len = 5 if len(g) <= 4 else 4
+        for canonical, fast in ((True, canonical_words), (False, reduced_words)):
+            expected = list(_reference_words(g, max_len, canonical))
+            assert list(fast(g, max_len)) == expected, (g, canonical)
 
 
 def _cancelling_cases():
@@ -222,11 +288,34 @@ def _cancelling_cases():
         yield GroupMap(dom, cod, images), trigger, required
 
 
+def _shuffled_cases():
+    """Seeded maps between graphs with shuffled vertex orders: one
+    generator is killed, the others map to words of length 3 to 5."""
+    rng = random.Random(19)
+    for _ in range(6):
+        dom = _shuffled_graph(rng, rng.randint(3, 4), "d")
+        cod = _shuffled_graph(rng, rng.randint(3, 5), "c")
+        killed = rng.choice(dom.vertices)
+        images = {
+            v: ()
+            if v == killed
+            else tuple(
+                Letter(rng.choice(cod.vertices), rng.choice((1, -1)))
+                for _ in range(rng.randint(3, 5))
+            )
+            for v in dom.vertices
+        }
+        trigger = rng.choice(dom.vertices)
+        required = set(rng.sample(cod.vertices, rng.randint(1, 2)))
+        yield GroupMap(dom, cod, images), trigger, required
+
+
 def test_bounded_checks_match_the_naive_references():
     cases = [
         (kill_generators(P5, {"x1"}), "x1", {"x2"}),
         (kill_generators(make_cycle(5), {"x2", "x4"}), "x3", {"x1", "x5"}),
         *_cancelling_cases(),
+        *_shuffled_cases(),
     ]
     max_len = 4
     for m, trigger, required in cases:
@@ -237,6 +326,21 @@ def test_bounded_checks_match_the_naive_references():
         assert fast == _naive_support_propagation(m, trigger, required, max_len)
         for v in m.codomain.vertices:
             assert check_surviving(m, v, max_len) == _naive_surviving(m, v, max_len)
+
+
+def test_bounded_checks_reject_bad_input():
+    m = kill_generators(P5, {"x1"})
+    with pytest.raises(ValueError, match="trigger"):
+        check_support_propagation(m, "y1", {"x2"}, 2)
+    # x1 is killed, so it is not a codomain vertex
+    with pytest.raises(ValueError, match="required"):
+        check_support_propagation(m, "x2", {"x1"}, 2)
+    with pytest.raises(ValueError, match="negative"):
+        bounded_injectivity(m, -1)
+    with pytest.raises(ValueError, match="negative"):
+        check_surviving(m, "x2", -1)
+    with pytest.raises(ValueError, match="negative"):
+        check_support_propagation(m, "x2", {"x3"}, -1)
 
 
 def test_innermost_cancellation_detector():

@@ -8,6 +8,8 @@ from raagembed.graphs import SimplicialGraph, make_cycle, make_path, make_tripod
 from raagembed.oracle import MoveClosure
 from raagembed.words import (
     Letter,
+    _alphabet,
+    _extend_reduced_ids,
     canonical_words,
     check_lemma_comm1,
     commutator,
@@ -115,6 +117,7 @@ def test_reduce_matches_the_reference_on_random_long_words():
         edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
         rng.shuffle(labels)
         g = SimplicialGraph(labels, edges)
+        alphabet = _alphabet(g)
         for _ in range(50):
             # few bases make long cancelling runs likely
             bases = rng.sample(labels, rng.randint(1, n))
@@ -122,7 +125,11 @@ def test_reduce_matches_the_reference_on_random_long_words():
                 Letter(rng.choice(bases), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 80))
             )
-            assert reduce(g, w) == _reference_reduce(g, w), format_word(w)
+            expected = _reference_reduce(g, w)
+            assert reduce(g, w) == expected, format_word(w)
+            out = []
+            _extend_reduced_ids(alphabet.stops, out, [alphabet.ids[lt] for lt in w])
+            assert tuple(alphabet.letters[c] for c in out) == expected
 
 
 def test_normal_form_examples():
