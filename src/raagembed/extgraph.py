@@ -14,6 +14,8 @@ from .errors import GraphParseError, InvariantViolation
 from .graphs import induced_maps, make_path
 from .words import (
     Letter,
+    _alphabet,
+    _extend_reduced_ids,
     commute_elements,
     equal,
     format_word,
@@ -33,15 +35,18 @@ class ExtVertex:
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element. ``support`` is the element's
     support (the key is reduced, so its letter bases are exactly that).
+    ``ids`` caches the vertex in the letter ids of the last graph it was
+    compared in (see ``_ids_in``).
     """
 
-    __slots__ = ("base", "conjugator", "key", "support")
+    __slots__ = ("base", "conjugator", "key", "support", "ids")
 
     def __init__(self, base, conjugator, key):
         self.base = base
         self.conjugator = conjugator
         self.key = key
         self.support = frozenset(lt.base for lt in key)
+        self.ids = None
 
     @property
     def radius(self):
@@ -62,26 +67,58 @@ class ExtVertex:
         return f"ExtVertex({format_ext_vertex(self)!r})"
 
 
+def _vertex_ids(alphabet, v):
+    """v = a^(x) in the letter ids of ``alphabet``: the tuple (alphabet,
+    the ids of the word x^-1 a x, the id mask of the support, that mask
+    plus the neighbours of every support vertex), masks taking both
+    signs of a vertex. The support is read off the reduced key, so it is
+    right for any graph on v's labels."""
+    ids, stops = alphabet.ids, alphabet.stops
+    conj = [ids[lt] for lt in v.conjugator]
+    key = tuple([c ^ 1 for c in reversed(conj)] + [ids[Letter(v.base, 1)]] + conj)
+    reduced = []
+    _extend_reduced_ids(stops, reduced, key)
+    support = reach = 0
+    for c in reduced:
+        support |= 3 << (c & ~1)
+        reach |= stops[c]
+    return alphabet, key, support, reach
+
+
+def _ids_in(g, v):
+    """v's ids in g's alphabet: the cached ones when g's alphabet made
+    them, else computed and cached. They are computed on first use, so a
+    vertex that is only enumerated never holds them."""
+    alphabet = _alphabet(g)
+    got = v.ids
+    if got is None or got[0] is not alphabet:
+        got = v.ids = _vertex_ids(alphabet, v)
+    return got
+
+
 def ext_vertex(g, base, w=()):
     """Canonical extension-graph vertex for the conjugate of ``base`` by w.
 
     Letters of w that can shuffle to the front and commute with the base
     contribute nothing to the conjugate and are stripped, which leaves the
-    stored conjugate expression reduced.
+    stored conjugate expression reduced. When nothing is stripped, the
+    normal form of w is already the conjugator.
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
     u = list(normal_form(g, w))
+    stripped = False
     while True:
         for j, lt in enumerate(u):
             if (lt.base == base or not g.adjacent(lt.base, base)) and all(
                 letters_commute(g, u[i], lt) for i in range(j)
             ):
                 del u[j]
+                stripped = True
                 break
         else:
             break
-    conj = normal_form(g, tuple(u))
+    conj = normal_form(g, tuple(u)) if stripped else tuple(u)
     key = normal_form(g, inverse(conj) + (Letter(base, 1),) + conj)
     if len(key) != 2 * len(conj) + 1 or not is_reduced(
         g, inverse(conj) + (Letter(base, 1),) + conj
@@ -117,25 +154,35 @@ def _bad_ext(name, text):
     raise GraphParseError(f"{name}: cannot parse extension vertex {text!r}")
 
 
-def _supports_interact(g, su, sv):
-    """Whether some generator pair across the two supports fails to commute."""
-    for s in su:
-        if s in sv or (g.neighbors(s) & sv):
-            return True
-    return False
-
-
 def ext_adjacent(g, u, v):
     """Adjacent iff the two conjugates do not commute.
 
-    When the supports share no vertex and no edge, every letter pair
-    commutes, so the elements commute without running a reduction.
+    Write u = a^(x) with the shorter conjugator and v = b^(y).
+    Conjugating both by x^-1 turns u into a and v into the reduced word
+    z of x y^-1 b y x^-1, so they commute iff the link of a misses the
+    support of z. When u is a generator, z is v's key, whose support is
+    known. When no vertex of u's support meets or neighbours one of v's,
+    every letter pair commutes and no reduction runs either.
     """
     if u.key == v.key:
         return False
-    if not _supports_interact(g, u.support, v.support):
+    if len(v.conjugator) < len(u.conjugator):
+        u, v = v, u
+    alphabet, ku, _, reach = _ids_in(g, u)
+    _, kv, support, _ = _ids_in(g, v)
+    if not reach & support:
         return False
-    return not commute_elements(g, u.key, v.key)
+    k = len(u.conjugator)
+    a = ku[k]
+    link = alphabet.stops[a] & ~(3 << a)
+    if not k:
+        return bool(link & support)
+    z = list(ku[k + 1:])
+    _extend_reduced_ids(alphabet.stops, z, kv + ku[:k])
+    for c in z:
+        if link >> c & 1:
+            return True
+    return False
 
 
 def enumerate_vertices(g, radius):
@@ -204,13 +251,17 @@ def induced_ext_subgraph(g, S):
 
 
 def push_to_base(g, items):
-    """Conjugate an independent vertex set into the base generators.
+    """Conjugate an independent set of distinct vertices into the base
+    generators.
 
     Returns (w, bases): conjugating every element by w on the left and its
     inverse on the right lands item i on bases[i]. Each step fixes the
     vertices already placed, so the set is moved one vertex at a time.
     """
     items = list(items)
+    keys = [v.key for v in items]
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate extension vertices")
     for u, v in combinations(items, 2):
         if ext_adjacent(g, u, v):
             raise ValueError(
@@ -342,8 +393,11 @@ def verify_witness(pattern, g, witness):
     keys = [witness[v].key for v in pattern.vertices]
     if len(set(keys)) != len(keys):
         return False
+    # Compare copies: the ids that ext_adjacent caches die with them, not
+    # with the caller's witness, which is often kept.
+    copies = {p: ExtVertex(v.base, v.conjugator, v.key) for p, v in witness.items()}
     for u, v in combinations(pattern.vertices, 2):
-        if ext_adjacent(g, witness[u], witness[v]) != pattern.adjacent(u, v):
+        if ext_adjacent(g, copies[u], copies[v]) != pattern.adjacent(u, v):
             return False
     return True
 

@@ -204,21 +204,24 @@ def induced_maps(pattern, order, domains, adjacent):
         [(j, pattern.adjacent(v, order[j])) for j in range(k)]
         for k, v in enumerate(order)
     ]
-    chosen = []
+    yield from _extend_maps(0, order, domains, adjacent, wants, [])
 
-    def extend(k):
-        if k == len(order):
-            yield dict(zip(order, chosen))
-            return
-        for c in domains[order[k]]:
-            if c not in chosen and all(
-                adjacent(c, chosen[j]) == want for j, want in wants[k]
-            ):
-                chosen.append(c)
-                yield from extend(k + 1)
-                chosen.pop()
 
-    yield from extend(0)
+def _extend_maps(k, order, domains, adjacent, wants, chosen):
+    """The depth-k step of ``induced_maps``. It is a module function, not
+    a closure over itself: a self-referencing closure is a reference
+    cycle, which would keep ``adjacent`` and all it holds alive until the
+    cyclic collector runs."""
+    if k == len(order):
+        yield dict(zip(order, chosen))
+        return
+    for c in domains[order[k]]:
+        if c not in chosen and all(
+            adjacent(c, chosen[j]) == want for j, want in wants[k]
+        ):
+            chosen.append(c)
+            yield from _extend_maps(k + 1, order, domains, adjacent, wants, chosen)
+            chosen.pop()
 
 
 def find_induced_embeddings(pattern, target):

@@ -112,6 +112,11 @@ def test_push_to_base_and_precondition(capsys, tmp_path):
     assert run(["push-to-base", "--graph", str(p6), "x1^(x2)", "x3"]) == 2
 
 
+def test_push_to_base_rejects_a_repeated_vertex(capsys, p5_file):
+    assert run(["push-to-base", "--graph", p5_file, "x1", "x1"]) == 2
+    assert "duplicate extension vertices" in capsys.readouterr().err
+
+
 def test_move_commands(capsys, tmp_path, t2_file):
     assert run(["move-deg3", "--graph", t2_file, "--vertex", "x"]) == 0
     out = capsys.readouterr().out

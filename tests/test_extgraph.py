@@ -28,9 +28,14 @@ from raagembed.graphs import (
 from raagembed.words import (
     Letter,
     canonical_words,
+    commute_elements,
     equal,
     format_word,
+    inverse,
+    is_reduced,
     letter_key,
+    letters_commute,
+    normal_form,
     word,
 )
 
@@ -73,6 +78,146 @@ def test_ext_adjacent_basics():
                     P5, ext_vertex(P5, a), ext_vertex(P5, b)
                 ) == P5.adjacent(a, b)
     assert ext_adjacent(P5, u, ext_vertex(P5, "x3"))
+
+
+def _random_graph(rng, n):
+    labels = [f"v{i}" for i in range(n)]
+    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+    rng.shuffle(labels)
+    return SimplicialGraph(labels, edges)
+
+
+def _reference_ext_vertex(g, base, w):
+    """Slow reference for ext_vertex: normal form, strip, then the normal
+    forms of the conjugator and of the key, always all three."""
+    u = list(normal_form(g, w))
+    while True:
+        for j, lt in enumerate(u):
+            if (lt.base == base or not g.adjacent(lt.base, base)) and all(
+                letters_commute(g, u[i], lt) for i in range(j)
+            ):
+                del u[j]
+                break
+        else:
+            break
+    conj = normal_form(g, tuple(u))
+    key = normal_form(g, inverse(conj) + (Letter(base, 1),) + conj)
+    assert len(key) == 2 * len(conj) + 1
+    assert is_reduced(g, inverse(conj) + (Letter(base, 1),) + conj)
+    return base, conj, key
+
+
+def test_ext_vertex_matches_the_reference():
+    rng = random.Random(5)
+    graphs = [make_path(n) for n in range(5, 9)]
+    graphs += [make_cycle(5), make_cycle(6)]
+    graphs += [_random_graph(rng, rng.randint(4, 7)) for _ in range(4)]
+    stripped = 0
+    for g in graphs:
+        letters = [Letter(a, s) for a in g.vertices for s in (1, -1)]
+        for _ in range(300):
+            base = rng.choice(g.vertices)
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+            want = _reference_ext_vertex(g, base, w)
+            v = ext_vertex(g, base, w)
+            assert (v.base, v.conjugator, v.key) == want, (g, base, w)
+            stripped += len(want[1]) < len(normal_form(g, w))
+    assert stripped > 500
+
+
+def _reference_ext_adjacent(g, u, v):
+    """Slow reference for ext_adjacent: distinct keys whose commutator is
+    not trivial, with no support short cut."""
+    return u.key != v.key and not commute_elements(g, u.key, v.key)
+
+
+def _assert_adjacency_matches(g, pairs):
+    """ext_adjacent agrees with the reference on every pair; returns how
+    many pairs were adjacent."""
+    adjacent = 0
+    for u, v in pairs:
+        want = _reference_ext_adjacent(g, u, v)
+        assert ext_adjacent(g, u, v) == want, (g, u, v)
+        adjacent += want
+    return adjacent
+
+
+@pytest.mark.parametrize(
+    "g,radius", [(P5, 2), (make_cycle(5), 1)], ids=["P5-r2", "C5-r1"]
+)
+def test_ext_adjacent_matches_the_reference_on_every_pair(g, radius):
+    pool = enumerate_vertices(g, radius)
+    pairs = [(u, v) for u in pool for v in pool]
+    adjacent = _assert_adjacency_matches(g, pairs)
+    assert 0 < adjacent < len(pairs)
+
+
+def _sampled_pairs(rng, g, pool, count):
+    """Seeded pairs of four kinds in turn: any two vertices, equal keys
+    (the same object or a rebuilt copy), the same base, and a generator
+    with any vertex."""
+    by_base = {}
+    for v in pool:
+        by_base.setdefault(v.base, []).append(v)
+    generators = [v for v in pool if not v.conjugator]
+    pairs = []
+    for i in range(count):
+        u = rng.choice(pool)
+        kind = i % 4
+        if kind == 0:
+            v = rng.choice(pool)
+        elif kind == 1:
+            v = u if i % 8 == 1 else ext_vertex(g, u.base, u.conjugator)
+        elif kind == 2:
+            v = rng.choice(by_base[u.base])
+        else:
+            u, v = rng.choice(generators), u
+        pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return pairs
+
+
+def _sampled_adjacency_cases():
+    yield "P7-r3", make_path(7), 3
+    yield "P10-r2", make_path(10), 2
+    yield "C6-r2", make_cycle(6), 2
+    rng = random.Random(13)
+    for k in range(6):
+        yield f"random{k}-r2", _random_graph(rng, rng.randint(4, 7)), 2
+
+
+@pytest.mark.parametrize(
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _sampled_adjacency_cases()],
+)
+def test_ext_adjacent_matches_the_reference_on_seeded_pairs(g, radius):
+    rng = random.Random(f"{g!r}:{radius}")
+    pool = enumerate_vertices(g, radius)
+    pairs = _sampled_pairs(rng, g, pool, 20_000)
+    adjacent = _assert_adjacency_matches(g, pairs)
+    assert 0 < adjacent < len(pairs)
+
+
+def test_ext_adjacent_on_a_graph_other_than_the_builder():
+    # Vertices keep the letter ids of the graph they were last compared
+    # in; asking about them in an equal graph with another vertex order,
+    # or in another graph on the same labels, must not reuse those ids.
+    # C5 has one more edge than P5, so a key reduced over C5 need not be
+    # reduced over P5: x1^(x5) is x1 there.
+    c5 = make_cycle(5)
+    for g, other in ((P5, c5), (c5, P5)):
+        shuffled = SimplicialGraph(["x3", "x1", "x5", "x2", "x4"], g.edges)
+        sample = enumerate_vertices(g, 2)[::3]
+        for u in sample:
+            for v in sample:
+                want = _reference_ext_adjacent(g, u, v)
+                assert ext_adjacent(g, u, v) == want
+                assert ext_adjacent(shuffled, u, v) == want
+                assert ext_adjacent(g, u, v) == want
+                assert ext_adjacent(other, u, v) == _reference_ext_adjacent(other, u, v)
+    x1, x1_x5 = ext_vertex(c5, "x1"), ext_vertex(c5, "x1", word("x5"))
+    assert ext_adjacent(c5, x1, x1_x5)
+    assert not ext_adjacent(P5, x1, x1_x5)
+    assert not ext_adjacent(P5, ext_vertex(P5, "x4"), x1_x5)
 
 
 def test_ext_adjacent_symmetric_on_a_sample():
@@ -181,6 +326,16 @@ def test_push_to_base_example_over_p6():
         assert equal(P6, lhs, word(b))
 
 
+def test_push_to_base_rejects_repeated_vertices():
+    with pytest.raises(ValueError, match="duplicate"):
+        push_to_base(P5, [ext_vertex(P5, "x1"), ext_vertex(P5, "x1")])
+    # x3 commutes with x1, so this conjugate is x1 again
+    with pytest.raises(ValueError, match="duplicate"):
+        push_to_base(
+            P5, [ext_vertex(P5, "x1"), ext_vertex(P5, "x4"), ext_vertex(P5, "x1", word("x3"))]
+        )
+
+
 def test_push_to_base_rejects_non_independent_sets():
     # x3's link contains x2, which lies in the conjugate's support
     with pytest.raises(ValueError):
@@ -214,13 +369,6 @@ def _reference_enumerate(g, radius):
             tuple(letter_key(g, lt) for lt in v.conjugator),
         ),
     )
-
-
-def _random_graph(rng, n):
-    labels = [f"v{i}" for i in range(n)]
-    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
-    rng.shuffle(labels)
-    return SimplicialGraph(labels, edges)
 
 
 def _enumeration_cases():
