@@ -35,18 +35,15 @@ class ExtVertex:
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element. ``support`` is the element's
     support (the key is reduced, so its letter bases are exactly that).
-    ``ids`` caches the vertex in the letter ids of the last graph it was
-    compared in (see ``_ids_in``).
     """
 
-    __slots__ = ("base", "conjugator", "key", "support", "ids")
+    __slots__ = ("base", "conjugator", "key", "support")
 
     def __init__(self, base, conjugator, key):
         self.base = base
         self.conjugator = conjugator
         self.key = key
         self.support = frozenset(lt.base for lt in key)
-        self.ids = None
 
     @property
     def radius(self):
@@ -68,11 +65,11 @@ class ExtVertex:
 
 
 def _vertex_ids(alphabet, v):
-    """v = a^(x) in the letter ids of ``alphabet``: the tuple (alphabet,
-    the ids of the word x^-1 a x, the id mask of the support, that mask
-    plus the neighbours of every support vertex), masks taking both
-    signs of a vertex. The support is read off the reduced key, so it is
-    right for any graph on v's labels."""
+    """v = a^(x) in the letter ids of ``alphabet``: the triple (the ids of
+    the word x^-1 a x, the id mask of its support, that mask plus the
+    neighbours of every support vertex), masks taking both signs of a
+    vertex. The support is read off the word reduced here, so it is right
+    for any graph on v's labels, not only the one that built v."""
     ids, stops = alphabet.ids, alphabet.stops
     conj = [ids[lt] for lt in v.conjugator]
     key = tuple([c ^ 1 for c in reversed(conj)] + [ids[Letter(v.base, 1)]] + conj)
@@ -82,18 +79,7 @@ def _vertex_ids(alphabet, v):
     for c in reduced:
         support |= 3 << (c & ~1)
         reach |= stops[c]
-    return alphabet, key, support, reach
-
-
-def _ids_in(g, v):
-    """v's ids in g's alphabet: the cached ones when g's alphabet made
-    them, else computed and cached. They are computed on first use, so a
-    vertex that is only enumerated never holds them."""
-    alphabet = _alphabet(g)
-    got = v.ids
-    if got is None or got[0] is not alphabet:
-        got = v.ids = _vertex_ids(alphabet, v)
-    return got
+    return key, support, reach
 
 
 def ext_vertex(g, base, w=()):
@@ -154,8 +140,11 @@ def _bad_ext(name, text):
     raise GraphParseError(f"{name}: cannot parse extension vertex {text!r}")
 
 
-def ext_adjacent(g, u, v):
+def ext_adjacent(g, u, v, ids=None):
     """Adjacent iff the two conjugates do not commute.
+
+    ``ids``, when given, is the pair's ``_vertex_ids`` in g: a caller that
+    compares many pairs of the same vertices computes them once per vertex.
 
     Write u = a^(x) with the shorter conjugator and v = b^(y).
     Conjugating both by x^-1 turns u into a and v into the reduced word
@@ -166,19 +155,24 @@ def ext_adjacent(g, u, v):
     """
     if u.key == v.key:
         return False
-    if len(v.conjugator) < len(u.conjugator):
-        u, v = v, u
-    alphabet, ku, _, reach = _ids_in(g, u)
-    _, kv, support, _ = _ids_in(g, v)
+    alphabet = _alphabet(g)
+    iu, iv = ids or (_vertex_ids(alphabet, u), _vertex_ids(alphabet, v))
+    if len(iv[0]) < len(iu[0]):
+        iu, iv = iv, iu
+    ku, _, reach = iu
+    kv, support, _ = iv
     if not reach & support:
         return False
-    k = len(u.conjugator)
+    k = len(ku) >> 1
     a = ku[k]
-    link = alphabet.stops[a] & ~(3 << a)
+    stops = alphabet.stops
+    link = stops[a] & ~(3 << a)
     if not k:
         return bool(link & support)
-    z = list(ku[k + 1:])
-    _extend_reduced_ids(alphabet.stops, z, kv + ku[:k])
+    # x is reduced in the graph that built u, not necessarily in this one,
+    # so z is reduced from nothing rather than from x.
+    z = []
+    _extend_reduced_ids(stops, z, ku[k + 1:] + kv + ku[:k])
     for c in z:
         if link >> c & 1:
             return True
@@ -234,10 +228,7 @@ class ExtSubgraphView:
 def induced_ext_subgraph(g, S):
     from .graphs import SimplicialGraph
 
-    S = list(S)
-    keys = [v.key for v in S]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate extension vertices")
+    S = _distinct(S)
     edges = set()
     for i in range(len(S)):
         for j in range(i + 1, len(S)):
@@ -250,6 +241,14 @@ def induced_ext_subgraph(g, S):
     return ExtSubgraphView(vertices=tuple(S), edges=frozenset(edges), graph=image)
 
 
+def _distinct(vertices):
+    """The vertices as a list; ValueError if two are equal elements."""
+    vertices = list(vertices)
+    if len({v.key for v in vertices}) != len(vertices):
+        raise ValueError("duplicate extension vertices")
+    return vertices
+
+
 def push_to_base(g, items):
     """Conjugate an independent set of distinct vertices into the base
     generators.
@@ -258,10 +257,7 @@ def push_to_base(g, items):
     inverse on the right lands item i on bases[i]. Each step fixes the
     vertices already placed, so the set is moved one vertex at a time.
     """
-    items = list(items)
-    keys = [v.key for v in items]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate extension vertices")
+    items = _distinct(items)
     for u, v in combinations(items, 2):
         if ext_adjacent(g, u, v):
             raise ValueError(
@@ -327,6 +323,8 @@ def search_induced_embedding_ext(pattern, g, radius):
     rest = [v for v in pattern.vertices if v not in anchor_set]
     key_to_idx = {v.key: i for i, v in enumerate(pool)}
     base_domain = [key_to_idx[(Letter(b, 1),)] for b in g.vertices]
+    alphabet = _alphabet(g)
+    ids = [_vertex_ids(alphabet, v) for v in pool]
     memo = {}
     rows = {}
 
@@ -336,17 +334,17 @@ def search_induced_embedding_ext(pattern, g, radius):
         pair = (i, j) if i < j else (j, i)
         got = memo.get(pair)
         if got is None:
-            got = memo[pair] = ext_adjacent(g, pool[pair[0]], pool[pair[1]])
+            got = memo[pair] = ext_adjacent(g, pool[i], pool[j], (ids[i], ids[j]))
         return got
 
     def row(a):
         """Bitmask of the pool vertices adjacent to pool[a]."""
         got = rows.get(a)
         if got is None:
-            va = pool[a]
+            va, ia = pool[a], ids[a]
             got = 0
             for c, vc in enumerate(pool):
-                if ext_adjacent(g, vc, va):
+                if ext_adjacent(g, vc, va, (ids[c], ia)):
                     got |= 1 << c
             rows[a] = got
         return got
@@ -393,11 +391,11 @@ def verify_witness(pattern, g, witness):
     keys = [witness[v].key for v in pattern.vertices]
     if len(set(keys)) != len(keys):
         return False
-    # Compare copies: the ids that ext_adjacent caches die with them, not
-    # with the caller's witness, which is often kept.
-    copies = {p: ExtVertex(v.base, v.conjugator, v.key) for p, v in witness.items()}
+    alphabet = _alphabet(g)
+    ids = {p: _vertex_ids(alphabet, v) for p, v in witness.items()}
     for u, v in combinations(pattern.vertices, 2):
-        if ext_adjacent(g, copies[u], copies[v]) != pattern.adjacent(u, v):
+        pair = ids[u], ids[v]
+        if ext_adjacent(g, witness[u], witness[v], pair) != pattern.adjacent(u, v):
             return False
     return True
 

@@ -198,11 +198,10 @@ def test_ext_adjacent_matches_the_reference_on_seeded_pairs(g, radius):
 
 
 def test_ext_adjacent_on_a_graph_other_than_the_builder():
-    # Vertices keep the letter ids of the graph they were last compared
-    # in; asking about them in an equal graph with another vertex order,
-    # or in another graph on the same labels, must not reuse those ids.
-    # C5 has one more edge than P5, so a key reduced over C5 need not be
-    # reduced over P5: x1^(x5) is x1 there.
+    # A vertex may be asked about in an equal graph with another vertex
+    # order, or in another graph on the same labels; the answer must be
+    # that graph's. C5 has one more edge than P5, so a key reduced over C5
+    # need not be reduced over P5: x1^(x5) is x1 there.
     c5 = make_cycle(5)
     for g, other in ((P5, c5), (c5, P5)):
         shuffled = SimplicialGraph(["x3", "x1", "x5", "x2", "x4"], g.edges)
@@ -218,6 +217,48 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder():
     assert ext_adjacent(c5, x1, x1_x5)
     assert not ext_adjacent(P5, x1, x1_x5)
     assert not ext_adjacent(P5, ext_vertex(P5, "x4"), x1_x5)
+
+
+def _graph_and_subgraph(labels, edges, removed):
+    return SimplicialGraph(labels, edges), SimplicialGraph(
+        labels, [e for e in edges if e not in removed]
+    )
+
+
+def test_ext_adjacent_on_a_subgraph_with_unreduced_conjugators():
+    # Over h, which lacks the edge x2-x3, the conjugator x2 x3 x2^-1 x4
+    # reduced over g is not reduced: u is x1^(x4) there, and conjugating
+    # by x4 leaves x1 against a conjugate of x6 supported on x5, x6, x7,
+    # off the link x2, x4 of x1.
+    labels = [f"x{i}" for i in range(1, 8)]
+    edges = [
+        ("x1", "x2"), ("x1", "x4"), ("x2", "x3"), ("x2", "x5"),
+        ("x4", "x7"), ("x5", "x6"), ("x5", "x7"),
+    ]
+    g, h = _graph_and_subgraph(labels, edges, [("x2", "x3")])
+    u = ext_vertex(g, "x1", word("x2", "x3", "x2^-1", "x4"))
+    v = ext_vertex(h, "x6", word("x5", "x7", "x5", "x4"))
+    assert len(u.conjugator) == 4 and not is_reduced(h, u.conjugator)
+    assert not _reference_ext_adjacent(h, u, v)
+    assert not ext_adjacent(h, u, v)
+    assert not ext_adjacent(h, v, u)
+    # Seeded radius-3 vertices of random graphs, asked about over the
+    # graph less a third of its edges, in both orders.
+    rng = random.Random(29)
+    unreduced = 0
+    for _ in range(4):
+        big = _random_graph(rng, 6)
+        edges = sorted(big.edges)
+        removed = rng.sample(edges, len(edges) // 3)
+        big, small = _graph_and_subgraph(big.vertices, edges, removed)
+        pool = enumerate_vertices(big, 3)
+        for _ in range(1500):
+            u, v = rng.choice(pool), rng.choice(pool)
+            unreduced += not is_reduced(small, u.conjugator)
+            want = _reference_ext_adjacent(small, u, v)
+            assert ext_adjacent(small, u, v) == want, (big, small, u, v)
+            assert ext_adjacent(small, v, u) == want, (big, small, u, v)
+    assert unreduced > 100
 
 
 def test_ext_adjacent_symmetric_on_a_sample():
