@@ -425,7 +425,16 @@ def run(argv=None):
 
 
 def main(argv=None):
-    sys.exit(run(argv))
+    try:
+        status = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output (as ``| head`` does). Python
+        # flushes stdout again at exit; pointing it at devnull keeps that
+        # flush from raising a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -16,13 +16,11 @@ from .words import (
     Letter,
     _alphabet,
     _extend_reduced_ids,
+    _normal_form_ids,
     commute_elements,
     equal,
     format_word,
     inverse,
-    is_reduced,
-    letter_key,
-    letters_commute,
     normal_form,
     parse_word,
 )
@@ -88,31 +86,51 @@ def ext_vertex(g, base, w=()):
     Letters of w that can shuffle to the front and commute with the base
     contribute nothing to the conjugate and are stripped, which leaves the
     stored conjugate expression reduced. When nothing is stripped, the
-    normal form of w is already the conjugator.
+    normal form of w is already the conjugator. The work runs on letter
+    ids; the result is decoded once.
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
-    u = list(normal_form(g, w))
-    stripped = False
-    while True:
-        for j, lt in enumerate(u):
-            if (lt.base == base or not g.adjacent(lt.base, base)) and all(
-                letters_commute(g, u[i], lt) for i in range(j)
-            ):
-                del u[j]
-                stripped = True
-                break
-        else:
-            break
-    conj = normal_form(g, tuple(u)) if stripped else tuple(u)
-    key = normal_form(g, inverse(conj) + (Letter(base, 1),) + conj)
-    if len(key) != 2 * len(conj) + 1 or not is_reduced(
-        g, inverse(conj) + (Letter(base, 1),) + conj
-    ):
+    alphabet = _alphabet(g)
+    ids, stops, links = alphabet.ids, alphabet.stops, alphabet.links
+    encoded = []
+    for lt in w:
+        c = ids.get(lt)
+        if c is None:
+            raise ValueError(f"unknown letter {lt!r}")
+        encoded.append(c)
+    u = []
+    _extend_reduced_ids(stops, u, encoded)
+    u = _normal_form_ids(links, u)
+    # A letter is kept when it is in the link of a or blocked by a letter
+    # kept before it; any other letter shuffles to the front and commutes
+    # with a. Stripping a letter changes no earlier letter's test, so one
+    # pass strips all that rescanning would.
+    a = 2 * g.index(base)
+    link = links[a]
+    conj = []
+    blocked = 0
+    for c in u:
+        if (link | blocked) >> c & 1:
+            conj.append(c)
+            blocked |= links[c]
+    if len(conj) < len(u):
+        conj = _normal_form_ids(links, conj)
+    key = []
+    _extend_reduced_ids(stops, key, [c ^ 1 for c in reversed(conj)] + [a] + conj)
+    if len(key) != 2 * len(conj) + 1:
         raise InvariantViolation(
-            f"conjugate of {base!r} by {format_word(conj)!r} failed to canonicalize"
+            f"conjugate of {base!r} by {format_word(_decode(alphabet, conj))!r} "
+            "failed to canonicalize"
         )
-    return ExtVertex(base, conj, key)
+    return ExtVertex(
+        base, _decode(alphabet, conj), _decode(alphabet, _normal_form_ids(links, key))
+    )
+
+
+def _decode(alphabet, w):
+    letters = alphabet.letters
+    return tuple([letters[c] for c in w])
 
 
 def format_ext_vertex(v):
@@ -165,14 +183,13 @@ def ext_adjacent(g, u, v, ids=None):
         return False
     k = len(ku) >> 1
     a = ku[k]
-    stops = alphabet.stops
-    link = stops[a] & ~(3 << a)
+    link = alphabet.links[a]
     if not k:
         return bool(link & support)
     # x is reduced in the graph that built u, not necessarily in this one,
     # so z is reduced from nothing rather than from x.
     z = []
-    _extend_reduced_ids(stops, z, ku[k + 1:] + kv + ku[:k])
+    _extend_reduced_ids(alphabet.stops, z, ku[k + 1:] + kv + ku[:k])
     for c in z:
         if link >> c & 1:
             return True
@@ -192,14 +209,16 @@ def enumerate_vertices(g, radius):
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    letters = [Letter(a, s) for a in g.vertices for s in (1, -1)]
+    alphabet = _alphabet(g)
+    ids, stops, letters = alphabet.ids, alphabet.stops, alphabet.letters
     frontier = [ext_vertex(g, a) for a in g.vertices]
     seen = {v.key: v for v in frontier}
     for _ in range(radius):
         grown = []
         for v in frontier:
-            for lt in letters:
-                if not is_reduced(g, (lt.inverse(),) + v.key + (lt,)):
+            key = [ids[lt] for lt in v.key]
+            for c, lt in enumerate(letters):
+                if not _conjugate_is_reduced(stops[c], key, c):
                     continue
                 u = ext_vertex(g, v.base, v.conjugator + (lt,))
                 if u.key not in seen:
@@ -210,10 +229,19 @@ def enumerate_vertices(g, radius):
         seen.values(),
         key=lambda v: (
             v.radius,
-            g.index(v.base),
-            tuple(letter_key(g, lt) for lt in v.conjugator),
+            ids[Letter(v.base, 1)],
+            tuple([ids[lt] for lt in v.conjugator]),
         ),
     )
+
+
+def _conjugate_is_reduced(stop, key, c):
+    """Whether the id word c^-1 key c is reduced, for a reduced key and the
+    stop mask of c. Only the outer letters can cancel: c^-1 with the
+    first key letter in the mask, or with c itself when none is, and c
+    with the last one."""
+    hits = [d for d in key if stop >> d & 1]
+    return bool(hits) and hits[0] != c and hits[-1] != c ^ 1
 
 
 @dataclass(frozen=True)

@@ -175,29 +175,33 @@ def check_lemma_comm1(g, a, w):
 # ---------------------------------------------------------------------------
 # Integer letter ids. The letter of sign s on the vertex of index i has id
 # 2*i + (s < 0), so id order is vertex order, positive sign first. The
-# enumerator and the bounded hom walks run on ids; strings come back only
-# when a word is decoded or formatted.
+# enumerator, the bounded hom walks and the extension-graph vertices run on
+# ids; strings come back only when a word is decoded or formatted.
 
 
 class _Alphabet(NamedTuple):
     letters: tuple  # the Letter of each id
     ids: dict  # the id of each Letter
     stops: tuple  # per id: the ids of both signs of its base and neighbours
+    links: tuple  # per id: the ids of both signs of its neighbours
 
 
 def _alphabet(g):
     """The id tables of g, built on first use and kept in its one slot.
-    ``stops[c]`` is the neighbour bitmask of c's vertex, in ids, plus
-    that vertex: the letters that end c's backward scan."""
+    ``links[c]`` is the neighbour bitmask of c's vertex, in ids: the
+    letters that do not commute with c. ``stops[c]`` adds that vertex:
+    the letters that end c's backward scan."""
     a = g._alphabet
     if a is None:
         letters = tuple(Letter(v, s) for v in g.vertices for s in (1, -1))
         ids = {lt: c for c, lt in enumerate(letters)}
-        stops = []
+        stops, links = [], []
         for i, v in enumerate(g.vertices):
-            mask = sum(3 << 2 * g.index(u) for u in g.neighbors(v)) | 3 << 2 * i
-            stops += (mask, mask)
-        a = g._alphabet = _Alphabet(letters, ids, tuple(stops))
+            link = sum(3 << 2 * g.index(u) for u in g.neighbors(v))
+            stop = link | 3 << 2 * i
+            stops += (stop, stop)
+            links += (link, link)
+        a = g._alphabet = _Alphabet(letters, ids, tuple(stops), tuple(links))
     return a
 
 
@@ -218,6 +222,25 @@ def _extend_reduced_ids(stops, out, w):
                 break
         else:
             out.append(c)
+
+
+def _normal_form_ids(links, w):
+    """``normal_form`` of the reduced id word w, as an id list: repeatedly
+    emit the least id that no letter still ahead of it blocks, a letter
+    blocking the ids in its link mask."""
+    remaining = list(w)
+    out = []
+    while remaining:
+        best, t = remaining[0], 0
+        blocked = links[best]
+        for i in range(1, len(remaining)):
+            c = remaining[i]
+            if c < best and not blocked >> c & 1:
+                best, t = c, i
+            blocked |= links[c]
+        out.append(best)
+        del remaining[t]
+    return out
 
 
 def _words(g, max_len, canonical):

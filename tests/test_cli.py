@@ -275,3 +275,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "nontrivial" in proc.stdout
+
+
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
+    graph = tmp_path / "p7.graph"
+    graph.write_text(format_graph(make_path(7)))
+    # The listing (about 125 kB) is larger than a pipe holds, so the
+    # command is still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raagembed.cli", "ext-enumerate",
+         "--graph", str(graph), "--radius", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"5215 vertices within radius 4\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""

@@ -5,6 +5,8 @@ import pytest
 
 from raagembed.errors import GraphParseError
 from raagembed.extgraph import (
+    ExtVertex,
+    _conjugate_is_reduced,
     enumerate_vertices,
     ext_adjacent,
     ext_vertex,
@@ -27,6 +29,7 @@ from raagembed.graphs import (
 )
 from raagembed.words import (
     Letter,
+    _alphabet,
     canonical_words,
     commute_elements,
     equal,
@@ -65,6 +68,13 @@ def test_nontrivial_conjugate_support():
 def test_unknown_base_rejected():
     with pytest.raises(ValueError):
         ext_vertex(P5, "zz")
+
+
+def test_unknown_conjugator_letter_rejected():
+    with pytest.raises(ValueError):
+        ext_vertex(P5, "x1", (Letter("zz", 1),))
+    with pytest.raises(ValueError):
+        ext_vertex(P5, "x1", word("x2", "zz^-1"))
 
 
 def test_ext_adjacent_basics():
@@ -396,11 +406,12 @@ def test_lex_first_max_independent_set():
 
 def _reference_enumerate(g, radius):
     """Slow reference for enumerate_vertices: every base conjugated by the
-    canonical word of every element of length <= radius."""
+    canonical word of every element of length <= radius, each vertex built
+    by the reference ext_vertex."""
     seen = {}
     for w in canonical_words(g, radius):
         for a in g.vertices:
-            v = ext_vertex(g, a, w)
+            v = ExtVertex(*_reference_ext_vertex(g, a, w))
             seen.setdefault(v.key, v)
     return sorted(
         seen.values(),
@@ -410,6 +421,22 @@ def _reference_enumerate(g, radius):
             tuple(letter_key(g, lt) for lt in v.conjugator),
         ),
     )
+
+
+def test_conjugate_reducedness_on_ids_matches_is_reduced():
+    rng = random.Random(19)
+    graphs = [P5, make_cycle(5), make_tripod(1, 1, 1)]
+    graphs += [_random_graph(rng, rng.randint(3, 6)) for _ in range(4)]
+    reduced = 0
+    for g in graphs:
+        alphabet = _alphabet(g)
+        for v in enumerate_vertices(g, 2):
+            key = [alphabet.ids[lt] for lt in v.key]
+            for c, lt in enumerate(alphabet.letters):
+                want = is_reduced(g, (lt.inverse(),) + v.key + (lt,))
+                assert _conjugate_is_reduced(alphabet.stops[c], key, c) == want, (g, v, lt)
+                reduced += want
+    assert reduced > 1000
 
 
 def _enumeration_cases():

@@ -10,6 +10,7 @@ from raagembed.words import (
     Letter,
     _alphabet,
     _extend_reduced_ids,
+    _normal_form_ids,
     canonical_words,
     check_lemma_comm1,
     commutator,
@@ -130,6 +131,44 @@ def test_reduce_matches_the_reference_on_random_long_words():
             out = []
             _extend_reduced_ids(alphabet.stops, out, [alphabet.ids[lt] for lt in w])
             assert tuple(alphabet.letters[c] for c in out) == expected
+
+
+def _kernel_normal_form(g, w):
+    """``normal_form`` of a reduced word through the id kernel."""
+    alphabet = _alphabet(g)
+    out = _normal_form_ids(alphabet.links, [alphabet.ids[lt] for lt in w])
+    return tuple(alphabet.letters[c] for c in out)
+
+
+@pytest.mark.parametrize(
+    "g, max_len",
+    [
+        (make_path(4), 6),
+        (make_cycle(4), 6),
+        (make_tripod(1, 1, 1), 6),
+        (make_path(5), 5),
+    ],
+    ids=["P4", "C4", "K13", "P5"],
+)
+def test_normal_form_kernel_matches_normal_form_on_every_short_word(g, max_len):
+    for w in reduced_words(g, max_len):
+        assert _kernel_normal_form(g, w) == normal_form(g, w), w
+
+
+def test_normal_form_kernel_matches_normal_form_on_random_long_words():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+        rng.shuffle(labels)
+        g = SimplicialGraph(labels, edges)
+        for _ in range(50):
+            w = reduce(g, tuple(
+                Letter(rng.choice(labels), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 40))
+            ))
+            assert _kernel_normal_form(g, w) == normal_form(g, w), format_word(w)
 
 
 def test_normal_form_examples():
