@@ -7,6 +7,7 @@ answers), 1 for a failed verification, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -402,15 +403,44 @@ def _build_parser():
     return parser
 
 
+class _Stdout:
+    """Standard output while a command runs. Once the reader has closed
+    it, later writes are dropped, so the command still finishes and its
+    ``--out`` report is still written; ``broken`` records the closing."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.broken = False
+
+    def write(self, text):
+        if not self.broken:
+            try:
+                self.stream.write(text)
+            except BrokenPipeError:
+                self.broken = True
+        return len(text)
+
+    def flush(self):
+        if not self.broken:
+            try:
+                self.stream.flush()
+            except BrokenPipeError:
+                self.broken = True
+
+
 def run(argv=None):
     """Parse the arguments, execute one command and return the process
-    exit status; a usage error returns 2 instead of exiting."""
+    exit status; a usage error returns 2 instead of exiting. When the
+    reader closes standard output, the command still runs to the end and
+    writes its ``--out`` report, and then BrokenPipeError is raised."""
     try:
         config = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    stdout = _Stdout(sys.stdout)
     try:
-        report, status = config.handler(config)
+        with contextlib.redirect_stdout(stdout):
+            report, status = config.handler(config)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,6 +451,8 @@ def run(argv=None):
         with open(config.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    if stdout.broken:
+        raise BrokenPipeError("standard output was closed")
     return status
 
 

@@ -15,8 +15,12 @@ from .graphs import induced_maps, make_path
 from .words import (
     Letter,
     _alphabet,
+    _decode,
+    _encode,
     _extend_reduced_ids,
+    _inverse_ids,
     _normal_form_ids,
+    _reduced_ids,
     commute_elements,
     equal,
     format_word,
@@ -70,9 +74,8 @@ def _vertex_ids(alphabet, v):
     for any graph on v's labels, not only the one that built v."""
     ids, stops = alphabet.ids, alphabet.stops
     conj = [ids[lt] for lt in v.conjugator]
-    key = tuple([c ^ 1 for c in reversed(conj)] + [ids[Letter(v.base, 1)]] + conj)
-    reduced = []
-    _extend_reduced_ids(stops, reduced, key)
+    key = tuple(_inverse_ids(conj) + [ids[Letter(v.base, 1)]] + conj)
+    reduced = _reduced_ids(stops, key)
     support = reach = 0
     for c in reduced:
         support |= 3 << (c & ~1)
@@ -92,16 +95,8 @@ def ext_vertex(g, base, w=()):
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
     alphabet = _alphabet(g)
-    ids, stops, links = alphabet.ids, alphabet.stops, alphabet.links
-    encoded = []
-    for lt in w:
-        c = ids.get(lt)
-        if c is None:
-            raise ValueError(f"unknown letter {lt!r}")
-        encoded.append(c)
-    u = []
-    _extend_reduced_ids(stops, u, encoded)
-    u = _normal_form_ids(links, u)
+    stops, links = alphabet.stops, alphabet.links
+    u = _normal_form_ids(links, _reduced_ids(stops, _encode(alphabet, w)))
     # A letter is kept when it is in the link of a or blocked by a letter
     # kept before it; any other letter shuffles to the front and commutes
     # with a. Stripping a letter changes no earlier letter's test, so one
@@ -116,8 +111,7 @@ def ext_vertex(g, base, w=()):
             blocked |= links[c]
     if len(conj) < len(u):
         conj = _normal_form_ids(links, conj)
-    key = []
-    _extend_reduced_ids(stops, key, [c ^ 1 for c in reversed(conj)] + [a] + conj)
+    key = _reduced_ids(stops, _inverse_ids(conj) + [a] + conj)
     if len(key) != 2 * len(conj) + 1:
         raise InvariantViolation(
             f"conjugate of {base!r} by {format_word(_decode(alphabet, conj))!r} "
@@ -126,11 +120,6 @@ def ext_vertex(g, base, w=()):
     return ExtVertex(
         base, _decode(alphabet, conj), _decode(alphabet, _normal_form_ids(links, key))
     )
-
-
-def _decode(alphabet, w):
-    letters = alphabet.letters
-    return tuple([letters[c] for c in w])
 
 
 def format_ext_vertex(v):

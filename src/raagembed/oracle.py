@@ -14,6 +14,7 @@ sit on the other side of every word-problem check.
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
 
 from .words import Letter
@@ -47,10 +48,16 @@ class MoveClosure:
         self._offsets = offsets
         total = offsets[max_len + 1]
         self._parent = list(range(total))
+        self._classes = total
         self._build()
-        self._rep = self._representatives()
+        # Machine ints instead of a list of int objects: a fraction of the
+        # memory for the queries, which only follow and compress paths.
+        self._parent = array("i", self._parent)
 
     # -- union-find ---------------------------------------------------
+    # A union keeps the smaller index as the root, and index order is
+    # (length, lexicographic) order, so each root is its component's
+    # canonical representative.
 
     def _find(self, x):
         parent = self._parent
@@ -67,6 +74,7 @@ class MoveClosure:
             if rx > ry:
                 rx, ry = ry, rx
             self._parent[ry] = rx
+            self._classes -= 1
 
     # -- construction ---------------------------------------------------
 
@@ -116,16 +124,6 @@ class MoveClosure:
                                 rem = rem * a + digits[t]
                         union(idx, short_base + rem)
 
-    def _representatives(self):
-        rep = {}
-        parent = self._parent
-        find = self._find
-        for idx in range(len(parent)):
-            root = find(idx)
-            if root not in rep:
-                rep[root] = idx
-        return rep
-
     # -- queries ---------------------------------------------------------
 
     def _encode_word(self, w):
@@ -143,11 +141,11 @@ class MoveClosure:
     def canonical(self, w):
         """The component's first word in (length, lex) order."""
         idx = self._index(self._encode_word(w))
-        return self._digits_to_word(self._decode(self._rep[self._find(idx)]))
+        return self._digits_to_word(self._decode(self._find(idx)))
 
     def minimal_length(self, w):
         idx = self._index(self._encode_word(w))
-        return len(self._decode(self._rep[self._find(idx)]))
+        return len(self._decode(self._find(idx)))
 
     def same_element(self, u, w):
         iu = self._index(self._encode_word(u))
@@ -156,4 +154,4 @@ class MoveClosure:
 
     def class_count(self):
         """Number of distinct group elements met by the bounded universe."""
-        return len(self._rep)
+        return self._classes

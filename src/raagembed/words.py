@@ -39,16 +39,6 @@ def inverse(w):
     return tuple(lt.inverse() for lt in reversed(w))
 
 
-def letters_commute(g, a, b):
-    """Two letters commute iff same base or bases non-adjacent."""
-    return a.base == b.base or not g.adjacent(a.base, b.base)
-
-
-def letter_key(g, lt):
-    """Total order on letters: vertex order first, positive sign first."""
-    return (g.index(lt.base), 0 if lt.sign > 0 else 1)
-
-
 def find_cancellation(g, w):
     """Positions (i, j) of an innermost cancellation, or None.
 
@@ -79,27 +69,10 @@ def reduce(g, w):
     it meets, and stops at a letter of its own base and sign or of its
     link, where it is appended. The result is the word that deleting
     innermost cancellation pairs until none is left also leaves, letter
-    for letter."""
-    out = []
-    for lt in w:
-        base, sign = lt
-        link = g.neighbors(base)
-        i = len(out)
-        while i:
-            i -= 1
-            b, s = out[i]
-            if b == base:
-                if s != sign:
-                    del out[i]
-                    break
-                out.append(lt)
-                break
-            if b in link:
-                out.append(lt)
-                break
-        else:
-            out.append(lt)
-    return tuple(out)
+    for letter. A tuple that is already reduced is returned itself."""
+    a = _alphabet(g)
+    ids = _encode(a, w)
+    return _as_word(a, w, ids, _reduced_ids(a.stops, ids))
 
 
 def normal_form(g, w):
@@ -107,33 +80,29 @@ def normal_form(g, w):
     order, then sign) that commutes with everything still ahead of it.
 
     Two words get the same normal form exactly when they represent the
-    same group element.
+    same group element. A tuple that is already its normal form is
+    returned itself.
     """
-    remaining = list(reduce(g, w))
-    out = []
-    while remaining:
-        best = None
-        best_key = None
-        for t, lt in enumerate(remaining):
-            if all(letters_commute(g, remaining[i], lt) for i in range(t)):
-                k = letter_key(g, lt)
-                if best is None or k < best_key:
-                    best, best_key = t, k
-        out.append(remaining.pop(best))
-    return tuple(out)
+    a = _alphabet(g)
+    ids = _encode(a, w)
+    return _as_word(a, w, ids, _normal_form_ids(a.links, _reduced_ids(a.stops, ids)))
 
 
 def is_trivial(g, w):
-    return len(reduce(g, w)) == 0
+    a = _alphabet(g)
+    return not _reduced_ids(a.stops, _encode(a, w))
 
 
 def equal(g, u, w):
-    return is_trivial(g, u + inverse(w))
+    a = _alphabet(g)
+    return not _reduced_ids(a.stops, _encode(a, u) + _inverse_ids(_encode(a, w)))
 
 
 def support(g, w):
     """Vertices whose generator occurs in a reduced word for the element."""
-    return frozenset(lt.base for lt in reduce(g, w))
+    a = _alphabet(g)
+    vertices = g.vertices
+    return frozenset([vertices[c >> 1] for c in _reduced_ids(a.stops, _encode(a, w))])
 
 
 def conjugate_word(g, b, w):
@@ -158,7 +127,11 @@ def iterated_commutator(g, items):
 
 
 def commute_elements(g, u, w):
-    return is_trivial(g, commutator(g, u, w))
+    """Whether u and w commute: the commutator u^-1 w^-1 u w, built on
+    letter ids, reduces to the empty word."""
+    a = _alphabet(g)
+    u, w = _encode(a, u), _encode(a, w)
+    return not _reduced_ids(a.stops, _inverse_ids(u) + _inverse_ids(w) + u + w)
 
 
 def check_lemma_comm1(g, a, w):
@@ -174,9 +147,10 @@ def check_lemma_comm1(g, a, w):
 
 # ---------------------------------------------------------------------------
 # Integer letter ids. The letter of sign s on the vertex of index i has id
-# 2*i + (s < 0), so id order is vertex order, positive sign first. The
-# enumerator, the bounded hom walks and the extension-graph vertices run on
-# ids; strings come back only when a word is decoded or formatted.
+# 2*i + (s < 0), so id order is vertex order, positive sign first. The word
+# problem above, the enumerator, the bounded hom walks and the
+# extension-graph vertices run on ids; strings come back only when a word
+# is decoded or formatted.
 
 
 class _Alphabet(NamedTuple):
@@ -203,6 +177,41 @@ def _alphabet(g):
             links += (link, link)
         a = g._alphabet = _Alphabet(letters, ids, tuple(stops), tuple(links))
     return a
+
+
+def _encode(alphabet, w):
+    """The ids of the letters of w, as a list. A letter that is not on the
+    graph raises ValueError."""
+    ids = alphabet.ids
+    try:
+        return [ids[lt] for lt in w]
+    except KeyError as exc:
+        raise ValueError(f"unknown letter {exc.args[0]!r}") from None
+
+
+def _decode(alphabet, w):
+    letters = alphabet.letters
+    return tuple([letters[c] for c in w])
+
+
+def _as_word(alphabet, w, ids, out):
+    """The word of the id list ``out``, given that the word w has the ids
+    ``ids``: w itself when it is a tuple and out equals ids (as
+    ``tuple(t)`` returns t), else a decoded tuple."""
+    if out == ids and type(w) is tuple:
+        return w
+    return _decode(alphabet, out)
+
+
+def _inverse_ids(w):
+    return [c ^ 1 for c in reversed(w)]
+
+
+def _reduced_ids(stops, w):
+    """The reduced id list of the id word w."""
+    out = []
+    _extend_reduced_ids(stops, out, w)
+    return out
 
 
 def _extend_reduced_ids(stops, out, w):

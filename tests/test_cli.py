@@ -280,11 +280,12 @@ def test_console_entry_point_runs():
 def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
     graph = tmp_path / "p7.graph"
     graph.write_text(format_graph(make_path(7)))
+    out = tmp_path / "e.json"
     # The listing (about 125 kB) is larger than a pipe holds, so the
     # command is still writing when the reader goes away.
     proc = subprocess.Popen(
         [sys.executable, "-m", "raagembed.cli", "ext-enumerate",
-         "--graph", str(graph), "--radius", "4"],
+         "--graph", str(graph), "--radius", "4", "--out", str(out)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -295,3 +296,37 @@ def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err == ""
+    assert json.loads(out.read_text())["count"] == 5215
+
+
+class _ClosedStdout:
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext-enumerate", "--radius", "2"],
+        ["reduce", "x1", "x3", "x1^-1"],
+        ["nf", "x3", "x1"],
+    ],
+    ids=["ext-enumerate", "reduce", "nf"],
+)
+def test_a_closed_stdout_still_writes_the_out_report(
+    monkeypatch, capsys, tmp_path, p5_file, argv
+):
+    argv = argv[:1] + ["--graph", p5_file] + argv[1:]
+    want = tmp_path / "want.json"
+    assert run(argv + ["--out", str(want)]) == 0
+    got = tmp_path / "got.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    with pytest.raises(BrokenPipeError):
+        run(argv + ["--out", str(got)])
+    monkeypatch.undo()
+    assert got.read_bytes() == want.read_bytes()

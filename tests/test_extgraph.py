@@ -31,15 +31,19 @@ from raagembed.words import (
     Letter,
     _alphabet,
     canonical_words,
-    commute_elements,
+    commutator,
     equal,
     format_word,
     inverse,
     is_reduced,
-    letter_key,
-    letters_commute,
     normal_form,
     word,
+)
+from test_words import (
+    _reference_normal_form,
+    _reference_reduce,
+    letter_key,
+    letters_commute,
 )
 
 P5 = make_path(5)
@@ -98,9 +102,10 @@ def _random_graph(rng, n):
 
 
 def _reference_ext_vertex(g, base, w):
-    """Slow reference for ext_vertex: normal form, strip, then the normal
-    forms of the conjugator and of the key, always all three."""
-    u = list(normal_form(g, w))
+    """Slow reference for ext_vertex on the Letter route: normal form,
+    strip, then the normal forms of the conjugator and of the key, always
+    all three."""
+    u = list(_reference_normal_form(g, w))
     while True:
         for j, lt in enumerate(u):
             if (lt.base == base or not g.adjacent(lt.base, base)) and all(
@@ -110,8 +115,8 @@ def _reference_ext_vertex(g, base, w):
                 break
         else:
             break
-    conj = normal_form(g, tuple(u))
-    key = normal_form(g, inverse(conj) + (Letter(base, 1),) + conj)
+    conj = _reference_normal_form(g, tuple(u))
+    key = _reference_normal_form(g, inverse(conj) + (Letter(base, 1),) + conj)
     assert len(key) == 2 * len(conj) + 1
     assert is_reduced(g, inverse(conj) + (Letter(base, 1),) + conj)
     return base, conj, key
@@ -136,9 +141,10 @@ def test_ext_vertex_matches_the_reference():
 
 
 def _reference_ext_adjacent(g, u, v):
-    """Slow reference for ext_adjacent: distinct keys whose commutator is
-    not trivial, with no support short cut."""
-    return u.key != v.key and not commute_elements(g, u.key, v.key)
+    """Slow reference for ext_adjacent on the Letter route: distinct keys
+    whose commutator the reference reduction does not empty, with no
+    support short cut."""
+    return u.key != v.key and bool(_reference_reduce(g, commutator(g, u.key, v.key)))
 
 
 def _assert_adjacency_matches(g, pairs):

@@ -23,7 +23,6 @@ from raagembed.words import (
     is_reduced,
     is_trivial,
     iterated_commutator,
-    letters_commute,
     normal_form,
     parse_word,
     reduce,
@@ -40,6 +39,40 @@ def all_words(g, max_len):
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
     for k in range(max_len + 1):
         yield from product(letters, repeat=k)
+
+
+# ---------------------------------------------------------------------------
+# The Letter route: the word problem as it ran before the id kernel, kept
+# as the independent reference for ``reduce``, ``normal_form`` and the
+# functions built on them.
+
+
+def letters_commute(g, a, b):
+    """Two letters commute iff same base or bases non-adjacent."""
+    return a.base == b.base or not g.adjacent(a.base, b.base)
+
+
+def letter_key(g, lt):
+    """Total order on letters: vertex order first, positive sign first."""
+    return (g.index(lt.base), 0 if lt.sign > 0 else 1)
+
+
+def _reference_normal_form(g, w):
+    """The ``Letter`` loop ``normal_form`` ran before the id kernel:
+    reduce w by the reference, then repeatedly emit the least letter that
+    commutes with everything still ahead of it."""
+    remaining = list(_reference_reduce(g, w))
+    out = []
+    while remaining:
+        best = None
+        best_key = None
+        for t, lt in enumerate(remaining):
+            if all(letters_commute(g, remaining[i], lt) for i in range(t)):
+                k = letter_key(g, lt)
+                if best is None or k < best_key:
+                    best, best_key = t, k
+        out.append(remaining.pop(best))
+    return tuple(out)
 
 
 def test_letters_commute_matches_distance_on_the_path():
@@ -133,6 +166,14 @@ def test_reduce_matches_the_reference_on_random_long_words():
             assert tuple(alphabet.letters[c] for c in out) == expected
 
 
+def _random_graph(rng):
+    n = rng.randint(3, 10)
+    labels = [f"v{i}" for i in range(n)]
+    edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
+    rng.shuffle(labels)
+    return SimplicialGraph(labels, edges)
+
+
 def _kernel_normal_form(g, w):
     """``normal_form`` of a reduced word through the id kernel."""
     alphabet = _alphabet(g)
@@ -140,41 +181,138 @@ def _kernel_normal_form(g, w):
     return tuple(alphabet.letters[c] for c in out)
 
 
-@pytest.mark.parametrize(
-    "g, max_len",
-    [
-        (make_path(4), 6),
-        (make_cycle(4), 6),
-        (make_tripod(1, 1, 1), 6),
-        (make_path(5), 5),
-    ],
-    ids=["P4", "C4", "K13", "P5"],
-)
-def test_normal_form_kernel_matches_normal_form_on_every_short_word(g, max_len):
-    for w in reduced_words(g, max_len):
-        assert _kernel_normal_form(g, w) == normal_form(g, w), w
+SHORT_WORDS = {
+    "P4": (make_path(4), 6),
+    "C4": (make_cycle(4), 6),
+    "K13": (make_tripod(1, 1, 1), 6),
+    "P5": (make_path(5), 5),
+}
+
+
+@pytest.fixture(scope="module", params=list(SHORT_WORDS))
+def short_words(request):
+    """(g, max_len, the reference normal form of every reduced word of
+    length <= max_len), built once per graph for the sweeps below."""
+    g, max_len = SHORT_WORDS[request.param]
+    return g, max_len, {w: _reference_normal_form(g, w) for w in reduced_words(g, max_len)}
+
+
+def test_normal_form_kernel_matches_normal_form_on_every_short_word(short_words):
+    g, _, nf_of = short_words
+    for w, nf in nf_of.items():
+        assert _kernel_normal_form(g, w) == nf, w
 
 
 def test_normal_form_kernel_matches_normal_form_on_random_long_words():
     rng = random.Random(17)
     for _ in range(40):
-        n = rng.randint(3, 10)
-        labels = [f"v{i}" for i in range(n)]
-        edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
-        rng.shuffle(labels)
-        g = SimplicialGraph(labels, edges)
+        g = _random_graph(rng)
         for _ in range(50):
-            w = reduce(g, tuple(
-                Letter(rng.choice(labels), rng.choice((1, -1)))
+            w = _reference_reduce(g, tuple(
+                Letter(rng.choice(g.vertices), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 40))
             ))
-            assert _kernel_normal_form(g, w) == normal_form(g, w), format_word(w)
+            assert _kernel_normal_form(g, w) == _reference_normal_form(g, w), format_word(w)
+
+
+def _check_against_the_reference(g, w, r, nf, partner, partner_nf, x):
+    """The six word-problem functions on w, given w's reference reduced
+    word r and normal form nf: ``equal`` against a partner word of
+    reference normal form partner_nf, ``commute_elements`` against the
+    letter x, which w commutes with exactly when x's link misses the
+    support of w (the centralizer of a generator)."""
+    assert reduce(g, w) == r, format_word(w)
+    assert normal_form(g, w) == nf, format_word(w)
+    assert is_trivial(g, w) == (not r), format_word(w)
+    bases = frozenset(lt.base for lt in r)
+    assert support(g, w) == bases, format_word(w)
+    assert equal(g, w, partner) == (nf == partner_nf), format_word(w)
+    commute = not (g.neighbors(x.base) & bases)
+    assert commute_elements(g, w, (x,)) == commute, format_word(w)
+
+
+def test_word_problem_matches_the_reference_on_every_short_word(short_words):
+    g, max_len, nf_of = short_words
+    letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+    previous, previous_nf = (), ()
+    for k, w in enumerate(all_words(g, max_len)):
+        r = _reference_reduce(g, w)
+        nf = nf_of[r]
+        # equal against w's own normal form, or against the word before
+        partner, partner_nf = (nf, nf) if k % 2 else (previous, previous_nf)
+        _check_against_the_reference(
+            g, w, r, nf, partner, partner_nf, letters[k % len(letters)]
+        )
+        previous, previous_nf = w, nf
+
+
+def test_word_problem_matches_the_reference_on_random_long_words():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = _random_graph(rng)
+        letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+        for _ in range(50):
+            # few bases make long cancelling runs likely
+            bases = rng.sample(g.vertices, rng.randint(1, len(g)))
+            w = tuple(
+                Letter(rng.choice(bases), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 80))
+            )
+            r = _reference_reduce(g, w)
+            nf = _reference_normal_form(g, r)
+            # an equal partner (an inverse pair inserted) or an unequal one
+            # (a letter appended changes the exponent sum)
+            lt = rng.choice(letters)
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(w))
+                partner = w[:i] + (lt, lt.inverse()) + w[i:]
+            else:
+                partner = w + (lt,)
+            _check_against_the_reference(
+                g, w, r, nf, partner, _reference_normal_form(g, partner),
+                rng.choice(letters),
+            )
+            u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 20)))
+            commute = _reference_normal_form(g, u + w) == _reference_normal_form(g, w + u)
+            assert commute_elements(g, u, w) == commute, (format_word(u), format_word(w))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, w: reduce(g, w),
+        lambda g, w: normal_form(g, w),
+        lambda g, w: is_trivial(g, w),
+        lambda g, w: support(g, w),
+        lambda g, w: equal(g, w, word("x1")),
+        lambda g, w: equal(g, word("x1"), w),
+        lambda g, w: commute_elements(g, w, word("x1")),
+        lambda g, w: commute_elements(g, word("x1"), w),
+    ],
+    ids=[
+        "reduce", "normal_form", "is_trivial", "support", "equal-left",
+        "equal-right", "commute_elements-left", "commute_elements-right",
+    ],
+)
+def test_a_letter_off_the_graph_raises_value_error(call):
+    for w in [word("zz"), word("x1", "zz^-1", "x1^-1"), (Letter("x1", 1), ("x9", -1))]:
+        with pytest.raises(ValueError) as exc:
+            call(P5, w)
+        assert exc.type is ValueError
+        assert exc.value.__suppress_context__, "the ids lookup error leaked"
 
 
 def test_normal_form_examples():
     assert normal_form(P5, word("x3", "x1")) == word("x1", "x3")
     assert normal_form(P5, word("x3", "x2")) == word("x3", "x2")
     assert normal_form(P5, word("x1", "x3", "x1")) == word("x1", "x1", "x3")
+
+
+def test_a_word_already_in_the_asked_form_is_returned_itself():
+    w = parse_word("x1 x1 x3")
+    assert normal_form(P5, w) is w and reduce(P5, w) is w
+    assert reduce(P5, list(w)) == w and type(reduce(P5, list(w))) is tuple
+    assert normal_form(P5, word("x3", "x1")) == word("x1", "x3")
 
 
 def test_equal_and_trivial():
@@ -246,6 +384,21 @@ def test_reduce_and_normal_form_match_the_move_closure_on_p4():
         w = tuple(combo)
         assert normal_form(P4, w) == closure.canonical(w)
         assert len(reduce(P4, w)) == closure.minimal_length(w)
+
+
+def test_the_oracle_representative_is_the_first_word_of_its_class():
+    # all_words runs in (length, lexicographic) order, so the first word of
+    # each class that it meets must be that class's representative
+    closure = MoveClosure(P4, 4)
+    seen = set()
+    for w in all_words(P4, 4):
+        c = closure.canonical(w)
+        if c not in seen:
+            assert c == w
+            seen.add(c)
+        assert closure.same_element(w, c)
+        assert closure.minimal_length(w) == len(c)
+    assert len(seen) == closure.class_count()
 
 
 def test_reduce_is_idempotent_and_preserves_the_element():
