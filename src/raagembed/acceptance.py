@@ -76,11 +76,11 @@ def _oracle_sweep(g, max_len):
     closure = MoveClosure(g, max_len)
     checked = 0
     mismatches = []
-    for combo in _all_words(g, max_len):
-        w = tuple(combo)
-        if normal_form(g, w) != closure.canonical(w):
+    for w in _all_words(g, max_len):
+        c = closure.canonical(w)
+        if normal_form(g, w) != c:
             mismatches.append(("normal form", w))
-        elif len(reduce(g, w)) != closure.minimal_length(w):
+        elif len(reduce(g, w)) != len(c):
             mismatches.append(("length", w))
         checked += 1
         if len(mismatches) > 5:
@@ -197,8 +197,8 @@ def criterion_6():
     """Hexagon move on the tripod: exact relator preservation, bounded
     injectivity at length 6, and the three supporting claims at length 5."""
     move = move_deg3(t2_graph(), "x")
-    relators = check_relator_preservation(move.induced)
-    inj = bounded_injectivity(move.induced, 6)
+    relators = check_relator_preservation(move.group_map)
+    inj = bounded_injectivity(move.group_map, 6)
     claims = deg3_claim_reports(move, length=5)
     surviving_ok = all(
         not r["violations"] for r in claims["restricted_surviving"].values()

@@ -214,7 +214,7 @@ def _cmd_move_deg3(config):
     print(f"replaced the tripod at {config.vertex}; new graph:")
     print(format_graph(move.new_graph), end="")
     print("generator images:")
-    for v, w in move.induced.images.items():
+    for v, w in move.group_map.images.items():
         print(f"  {v} -> {format_word(w)}")
     report = move.to_json()
     report["relators_preserved"] = True

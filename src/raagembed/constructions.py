@@ -59,7 +59,6 @@ class MoveResult:
     new_labels: tuple = ()  # labels created by the move, in path/hexagon order
     ext_witness: dict = None  # deg1k: old vertex -> ExtVertex over new graph
     hom: GraphHom = None  # deg3: new graph -> old graph
-    induced: InducedHom = None  # deg3
     renaming: dict = None  # deg3: old vertex -> new label
 
     def to_json(self):
@@ -75,9 +74,9 @@ class MoveResult:
             }
         if self.renaming is not None:
             out["renaming"] = dict(self.renaming)
-        if self.induced is not None:
+        if self.kind == "deg3":
             out["generator_images"] = {
-                v: format_word(w) for v, w in self.induced.images.items()
+                v: format_word(w) for v, w in self.group_map.images.items()
             }
         return out
 
@@ -211,7 +210,6 @@ def move_deg3(g, x):
         group_map=ind,
         new_labels=(x1, x2, x3),
         hom=hom,
-        induced=ind,
         renaming=renaming,
     )
 
@@ -248,7 +246,7 @@ def deg3_claim_reports(move, length=5):
             continue
         keep_alive[v] = check_surviving(phi1, v, length)
     claim2 = check_support_propagation(phi1, x, {x2, x3}, length)
-    claim3 = check_surviving(move.induced, a1, length)
+    claim3 = check_surviving(move.group_map, a1, length)
     return {
         "dropped": a,
         "restricted_surviving": keep_alive,

@@ -35,17 +35,15 @@ class ExtVertex:
 
     ``key`` is the normal form of the whole element and is the equality
     key; ``conjugator`` is a shortest word w with the conjugate of base by
-    w reduced and equal to the element. ``support`` is the element's
-    support (the key is reduced, so its letter bases are exactly that).
+    w reduced and equal to the element.
     """
 
-    __slots__ = ("base", "conjugator", "key", "support")
+    __slots__ = ("base", "conjugator", "key")
 
     def __init__(self, base, conjugator, key):
         self.base = base
         self.conjugator = conjugator
         self.key = key
-        self.support = frozenset(lt.base for lt in key)
 
     @property
     def radius(self):
@@ -368,7 +366,7 @@ def search_induced_embedding_ext(pattern, g, radius):
 
     everything = (1 << len(pool)) - 1
     anchor_domains = dict.fromkeys(anchor_order, base_domain)
-    for amap in induced_maps(pattern, anchor_order, anchor_domains, eadj):
+    for amap in induced_maps(pattern.adjacent, anchor_order, anchor_domains, eadj):
         free = everything
         for ai in amap.values():
             free &= ~(1 << ai)
@@ -382,7 +380,7 @@ def search_induced_embedding_ext(pattern, g, radius):
         if any(not d for d in domains.values()):
             continue
         order = sorted(rest, key=lambda v: (len(domains[v]), pattern.index(v)))
-        found = next(induced_maps(pattern, order, domains, eadj), None)
+        found = next(induced_maps(pattern.adjacent, order, domains, eadj), None)
         if found is not None:
             amap.update(found)
             return {pv: pool[i] for pv, i in amap.items()}

@@ -191,17 +191,19 @@ def is_tree(g):
     return is_connected(g) and len(g.edges) == len(g) - 1
 
 
-def induced_maps(pattern, order, domains, adjacent):
+def induced_maps(wanted, order, domains, adjacent):
     """Yield, depth first, the injective maps of the pattern vertices
-    ``order`` that preserve adjacency and non-adjacency.
+    ``order`` that keep every adjacency the pattern asks for.
 
+    ``wanted(u, v)`` is True when the images of u and v must be adjacent,
+    False when they must not be, and None when the pair is unconstrained.
     Vertex v tries the candidates of ``domains[v]`` in order; a candidate
     c for order[k] is kept when adjacent(c, image of order[j]) equals
-    pattern.adjacent(order[k], order[j]) for every j < k. Each map is a
+    wanted(order[k], order[j]) for every constrained j < k. Each map is a
     new dict whose keys follow ``order``.
     """
     wants = [
-        [(j, pattern.adjacent(v, order[j])) for j in range(k)]
+        [(j, want) for j in range(k) if (want := wanted(v, order[j])) is not None]
         for k, v in enumerate(order)
     ]
     yield from _extend_maps(0, order, domains, adjacent, wants, [])
@@ -235,9 +237,8 @@ def find_induced_embeddings(pattern, target):
     order = sorted(
         pattern.vertices, key=lambda v: (-pattern.degree(v), pattern.index(v))
     )
-    yield from induced_maps(
-        pattern, order, dict.fromkeys(order, target.vertices), target.adjacent
-    )
+    domains = dict.fromkeys(order, target.vertices)
+    yield from induced_maps(pattern.adjacent, order, domains, target.adjacent)
 
 
 def is_isomorphic(g, h):
@@ -261,10 +262,6 @@ class HairyDecomposition:
     @property
     def m(self):
         return len(self.spine)
-
-    @property
-    def hair_counts(self):
-        return {v: len(hs) for v, hs in self.hairs.items()}
 
     @property
     def total_hairs(self):
@@ -333,45 +330,34 @@ def is_hairy_path(t):
 #: Roles of the 7-tuple certificate, in emission order.
 OBSTRUCTION_ROLES = ("x", "p", "q", "r", "a", "b", "c")
 
+#: The legs a-p, b-q, c-r around the center x. The pairs among a, b, c
+#: are free, and every other pair of roles is a non-edge.
+_TRIPOD_EDGES = {"ax", "bx", "cx", "ap", "bq", "cr"}
+
+
+def _tripod_wanted(u, v):
+    pair = u + v if u < v else v + u
+    return None if pair in ("ab", "ac", "bc") else pair in _TRIPOD_EDGES
+
 
 def find_tripod_obstruction(g):
     """Search for seven distinct vertices x,p,q,r,a,b,c with {x,p,q,r}
     independent, a adjacent to exactly x,p among them, b to exactly x,q,
     c to exactly x,r. Adjacency among a,b,c is unconstrained.
 
-    Returns the role map of the first tuple in canonical scan order, or
-    None. A graph admitting such a tuple embeds into no path graph's
-    extension graph.
+    Returns the role map (keyed in ``OBSTRUCTION_ROLES`` order) of the
+    first tuple when the roles x,a,p,b,q,c,r are tried in that order,
+    each over the vertices in canonical order, or None. A graph admitting
+    such a tuple embeds into no path graph's extension graph.
     """
-    vs = g.vertices
-    adj = g.adjacent
-    for x in vs:
-        nx = sorted(g.neighbors(x), key=g.index)
-        for a in nx:
-            for p in sorted(g.neighbors(a), key=g.index):
-                if p == x or adj(p, x):
-                    continue
-                for b in nx:
-                    if b == a or adj(b, p):
-                        continue
-                    for q in sorted(g.neighbors(b), key=g.index):
-                        if q in (x, p, a) or adj(q, x) or adj(q, p) or adj(q, a):
-                            continue
-                        for c in nx:
-                            if c in (a, b) or adj(c, p) or adj(c, q):
-                                continue
-                            for r in sorted(g.neighbors(c), key=g.index):
-                                if r in (x, p, q, a, b):
-                                    continue
-                                if adj(r, x) or adj(r, p) or adj(r, q):
-                                    continue
-                                if adj(r, a) or adj(r, b):
-                                    continue
-                                return {
-                                    "x": x, "p": p, "q": q, "r": r,
-                                    "a": a, "b": b, "c": c,
-                                }
-    return None
+    # The pattern gives x three neighbours and a, b, c two each, so these
+    # degree filters prune the search without changing its order.
+    inner = [v for v in g.vertices if g.degree(v) >= 2]
+    center = [v for v in inner if g.degree(v) >= 3]
+    outer = g.vertices
+    domains = dict(x=center, a=inner, p=outer, b=inner, q=outer, c=inner, r=outer)
+    found = next(induced_maps(_tripod_wanted, "xapbqcr", domains, g.adjacent), None)
+    return None if found is None else {r: found[r] for r in OBSTRUCTION_ROLES}
 
 
 def all_trees(n):
@@ -455,10 +441,15 @@ def parse_graph(text, name="<graph>"):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphParseError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        if not isinstance(data, dict) or "vertices" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise GraphParseError(f"{name}: JSON graph needs a 'vertices' array")
+        edges = data.get("edges", [])
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise GraphParseError(f"{name}: JSON graph edges must be label pairs")
         try:
-            return SimplicialGraph(data["vertices"], data.get("edges", []))
+            return SimplicialGraph(data["vertices"], edges)
         except (ValueError, TypeError) as exc:
             raise GraphParseError(f"{name}: {exc}") from None
 

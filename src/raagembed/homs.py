@@ -89,19 +89,16 @@ class InducedHom(GroupMap):
     generator of the target graph's group maps to the ordered product of
     its fiber (the identity when the fiber is empty)."""
 
-    __slots__ = ("hom", "fiber_order")
+    __slots__ = ()
 
     def __init__(self, hom):
         if not check_graph_hom(hom):
             raise ValueError("vertex map does not carry edges to edges")
-        fiber_order = {w: hom.fiber(w) for w in hom.target.vertices}
         images = {
-            w: tuple(Letter(v, 1) for v in fiber)
-            for w, fiber in fiber_order.items()
+            w: tuple(Letter(v, 1) for v in hom.fiber(w))
+            for w in hom.target.vertices
         }
         super().__init__(hom.target, hom.source, images)
-        self.hom = hom
-        self.fiber_order = fiber_order
 
 
 def kill_generators(g, kill):

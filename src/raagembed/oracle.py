@@ -143,15 +143,6 @@ class MoveClosure:
         idx = self._index(self._encode_word(w))
         return self._digits_to_word(self._decode(self._find(idx)))
 
-    def minimal_length(self, w):
-        idx = self._index(self._encode_word(w))
-        return len(self._decode(self._find(idx)))
-
-    def same_element(self, u, w):
-        iu = self._index(self._encode_word(u))
-        iw = self._index(self._encode_word(w))
-        return self._find(iu) == self._find(iw)
-
     def class_count(self):
         """Number of distinct group elements met by the bounded universe."""
         return self._classes

@@ -223,6 +223,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert run(["reduce", "--graph", str(bad), "a"]) == 2
     err = capsys.readouterr().err
     assert "bad.graph:2" in err
+    # a JSON string is not a list of labels or a pair of them
+    for text in ('{"vertices": "xy"}', '{"vertices": ["x", "y"], "edges": ["xy"]}'):
+        bad.write_text(text)
+        assert run(["ext-enumerate", "--graph", str(bad), "--radius", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad.graph" in captured.err
     p5 = tmp_path / "p5.graph"
     p5.write_text(format_graph(make_path(5)))
     assert run(["reduce", "--graph", str(p5), "x9"]) == 2

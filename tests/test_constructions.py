@@ -75,7 +75,7 @@ def test_move_deg3_on_the_tripod_matches_the_hexagon_picture():
     got = {tuple(sorted(e, key=g2.index)) for e in g2.edges}
     want = {tuple(sorted(e, key=g2.index)) for e in hexagon | pendants}
     assert got == want
-    assert move.induced.images["x"] == word("x1", "x2", "x3")
+    assert move.group_map.images["x"] == word("x1", "x2", "x3")
 
 
 def test_move_deg3_star_becomes_hexagon():

@@ -37,6 +37,7 @@ from raagembed.words import (
     inverse,
     is_reduced,
     normal_form,
+    support,
     word,
 )
 from test_words import (
@@ -64,7 +65,7 @@ def test_commuting_conjugator_letters_strip_away():
 
 def test_nontrivial_conjugate_support():
     v = ext_vertex(P5, "x1", word("x2", "x3"))
-    assert v.support == {"x1", "x2", "x3"}
+    assert support(P5, v.key) == {"x1", "x2", "x3"}
     assert format_word(v.key) == "x3^-1 x2^-1 x1 x2 x3"
     assert v.radius == 2
 

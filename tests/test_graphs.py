@@ -4,9 +4,11 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
+from raagembed.acceptance import theorem_b_variants
 from raagembed.constructions import obstruction_holds
 from raagembed.errors import GraphParseError
 from raagembed.graphs import (
+    OBSTRUCTION_ROLES,
     SimplicialGraph,
     all_trees,
     complement,
@@ -182,7 +184,7 @@ def test_is_hairy_path():
     dec = is_hairy_path(FIG6_TREE)
     assert dec is not None
     assert dec.spine == ("b", "x", "y", "c")
-    assert dec.hair_counts == {"x": 1, "y": 2}
+    assert {v: len(hs) for v, hs in dec.hairs.items()} == {"x": 1, "y": 2}
     assert dec.m == 4 and dec.total_hairs == 3
     p7 = make_path(7)
     dec = is_hairy_path(p7)
@@ -210,6 +212,58 @@ def test_tripod_obstruction_absent_on_paths_and_hairy_trees():
     assert find_tripod_obstruction(make_tripod(1, 1, 1)) is None
     # a longer first leg still contains the forbidden pattern
     assert find_tripod_obstruction(make_tripod(3, 2, 2)) is not None
+
+
+def _reference_tripod_obstruction(g):
+    """The first 7-permutation of the vertices, read as the roles
+    (x, a, p, b, q, c, r), that passes ``obstruction_holds``."""
+    for tup in permutations(g.vertices, 7):
+        roles = dict(zip("xapbqcr", tup))
+        if obstruction_holds(g, roles):
+            return {role: roles[role] for role in OBSTRUCTION_ROLES}
+    return None
+
+
+def _random_graphs(seed, count):
+    """Seeded graphs on 7 or 8 vertices in shuffled order: every second
+    one is T(2,2,2) plus up to three random edges (and maybe a vertex),
+    so that both answers occur; the others have independent edges."""
+    t2 = make_tripod(2, 2, 2)
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        labels = list(t2.vertices) + ["y"] * rng.randint(0, 1)
+        pairs = list(combinations(labels, 2))
+        if k % 2 == 0:
+            edges = list(t2.edges) + rng.sample(pairs, rng.randint(0, 3))
+        else:
+            p = rng.choice((0.25, 0.35, 0.5))
+            edges = [e for e in pairs if rng.random() < p]
+        rng.shuffle(labels)
+        out.append(SimplicialGraph(labels, edges))
+    return out
+
+
+def test_tripod_obstruction_matches_the_brute_force_reference():
+    graphs = all_trees(7) + theorem_b_variants() + _random_graphs(3, 16)
+    found = 0
+    for g in graphs:
+        roles = find_tripod_obstruction(g)
+        assert roles == _reference_tripod_obstruction(g), g
+        if roles is not None:
+            assert list(roles) == list(OBSTRUCTION_ROLES)
+            found += 1
+    # the tripod tree, its three variants and some random graphs have a
+    # tuple, and not every graph does
+    assert 4 < found < len(graphs)
+
+
+def test_tripod_obstruction_is_absent_exactly_on_hairy_trees():
+    for n in range(1, 11):
+        for t in all_trees(n):
+            assert (find_tripod_obstruction(t) is None) == (
+                is_hairy_path(t) is not None
+            ), t
 
 
 def test_all_trees_counts():
@@ -253,3 +307,18 @@ def test_parse_errors_carry_positions():
         parse_graph("edge: a b\n")
     with pytest.raises(GraphParseError):
         parse_graph('{"edges": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": "xy"}',
+        '{"vertices": ["x", "y"], "edges": ["xy"]}',
+        '{"vertices": ["x", "y"], "edges": [["x", "y", "x"]]}',
+        '{"vertices": ["x", "y"], "edges": "xy"}',
+    ],
+    ids=["string-vertices", "string-edge", "three-label-edge", "string-edges"],
+)
+def test_json_strings_are_not_read_as_label_lists(text):
+    with pytest.raises(GraphParseError):
+        parse_graph(text)

@@ -62,7 +62,7 @@ def test_deg3_vertex_map_is_a_hom_with_independent_fibers():
 
 def test_apply_induced_examples():
     move = move_deg3(t2_graph(), "x")
-    ind = move.induced
+    ind = move.group_map
     assert ind.apply(word("x")) == word("x1", "x2", "x3")
     assert ind.apply(()) == ()
     # inverse letters reverse the fiber product
@@ -71,7 +71,7 @@ def test_apply_induced_examples():
 
 def test_apply_is_a_homomorphism_on_literal_words():
     move = move_deg3(t2_graph(), "x")
-    ind = move.induced
+    ind = move.group_map
     u = parse_word("x b^-1")
     w = parse_word("p x")
     assert ind.apply(u + w) == ind.apply(u) + ind.apply(w)
@@ -111,9 +111,9 @@ def test_killing_the_new_vertices_undoes_the_hexagon_move():
 def test_relator_preservation():
     assert check_relator_preservation(identity_hom(P5))
     move = move_deg3(t2_graph(), "x")
-    assert check_relator_preservation(move.induced)
+    assert check_relator_preservation(move.group_map)
     # sending one leg vertex onto another leg's image breaks a commuting pair
-    broken = dict(move.induced.images)
+    broken = dict(move.group_map.images)
     broken["a"] = word("b1")
     assert not check_relator_preservation(
         GroupMap(t2_graph(), move.new_graph, broken)
@@ -124,7 +124,7 @@ def test_trimmed_center_image_is_still_a_homomorphism():
     # dropping x3 from the center image leaves all relators intact and no
     # bounded injectivity failure at this scale; nothing flags it
     move = move_deg3(t2_graph(), "x")
-    trimmed = dict(move.induced.images)
+    trimmed = dict(move.group_map.images)
     trimmed["x"] = word("x1", "x2")
     gm = GroupMap(t2_graph(), move.new_graph, trimmed)
     assert check_relator_preservation(gm)
@@ -371,7 +371,7 @@ def test_support_propagation_on_the_hexagon_instance():
 
 def test_equal_words_map_to_equal_images():
     move = move_deg3(t2_graph(), "x")
-    ind = move.induced
+    ind = move.group_map
     words_ = list(canonical_words(ind.domain, 2))
     for u in words_[:40]:
         for w in words_[:40]:
@@ -383,6 +383,6 @@ def test_compose_chains_images():
     t2 = t2_graph()
     move = move_deg3(t2, "x")
     idmap = identity_hom(move.new_graph)
-    chained = compose(idmap, move.induced)
-    assert chained.images == move.induced.images
+    chained = compose(idmap, move.group_map)
+    assert chained.images == move.group_map.images
 

@@ -127,22 +127,6 @@ def _reference_reduce(g, w):
         del current[i]
 
 
-@pytest.mark.parametrize(
-    "g, max_len",
-    [
-        (make_path(3), 6),
-        (make_path(4), 6),
-        (make_cycle(4), 6),
-        (make_tripod(1, 1, 1), 6),
-        (make_path(5), 5),
-    ],
-    ids=["P3", "P4", "C4", "K13", "P5"],
-)
-def test_reduce_matches_the_reference_on_every_short_word(g, max_len):
-    for combo in all_words(g, max_len):
-        assert reduce(g, combo) == _reference_reduce(g, combo), combo
-
-
 def test_reduce_matches_the_reference_on_random_long_words():
     rng = random.Random(5)
     for _ in range(40):
@@ -182,6 +166,7 @@ def _kernel_normal_form(g, w):
 
 
 SHORT_WORDS = {
+    "P3": (make_path(3), 6),
     "P4": (make_path(4), 6),
     "C4": (make_cycle(4), 6),
     "K13": (make_tripod(1, 1, 1), 6),
@@ -382,8 +367,9 @@ def test_reduce_and_normal_form_match_the_move_closure_on_p4():
     closure = MoveClosure(P4, 4)
     for combo in all_words(P4, 4):
         w = tuple(combo)
-        assert normal_form(P4, w) == closure.canonical(w)
-        assert len(reduce(P4, w)) == closure.minimal_length(w)
+        c = closure.canonical(w)
+        assert normal_form(P4, w) == c
+        assert len(reduce(P4, w)) == len(c)
 
 
 def test_the_oracle_representative_is_the_first_word_of_its_class():
@@ -396,8 +382,7 @@ def test_the_oracle_representative_is_the_first_word_of_its_class():
         if c not in seen:
             assert c == w
             seen.add(c)
-        assert closure.same_element(w, c)
-        assert closure.minimal_length(w) == len(c)
+        assert closure.canonical(c) == c
     assert len(seen) == closure.class_count()
 
 
@@ -408,7 +393,7 @@ def test_reduce_is_idempotent_and_preserves_the_element():
         r = reduce(P4, w)
         assert len(r) <= len(w)
         assert reduce(P4, r) == r
-        assert closure.same_element(w, r)
+        assert closure.canonical(w) == closure.canonical(r)
 
 
 def test_support_is_invariant_under_normal_form():
