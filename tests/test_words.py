@@ -177,13 +177,25 @@ SHORT_WORDS = {
 @pytest.fixture(scope="module", params=list(SHORT_WORDS))
 def short_words(request):
     """(g, max_len, the reference normal form of every reduced word of
-    length <= max_len), built once per graph for the sweeps below."""
+    length <= max_len, the reference reduction of every word of length
+    <= max_len in ``all_words`` order), built once per graph for the
+    sweeps below."""
     g, max_len = SHORT_WORDS[request.param]
-    return g, max_len, {w: _reference_normal_form(g, w) for w in reduced_words(g, max_len)}
+    nf_of = {w: _reference_normal_form(g, w) for w in reduced_words(g, max_len)}
+    # each reduction is stored as the equal key of nf_of, not as a copy
+    key_of = {w: w for w in nf_of}
+    reduced = [key_of[_reference_reduce(g, w)] for w in all_words(g, max_len)]
+    return g, max_len, nf_of, reduced
+
+
+def test_reduce_matches_the_reference_on_every_short_word(short_words):
+    g, max_len, _, reduced = short_words
+    for w, r in zip(all_words(g, max_len), reduced, strict=True):
+        assert reduce(g, w) == r, format_word(w)
 
 
 def test_normal_form_kernel_matches_normal_form_on_every_short_word(short_words):
-    g, _, nf_of = short_words
+    g, _, nf_of, _ = short_words
     for w, nf in nf_of.items():
         assert _kernel_normal_form(g, w) == nf, w
 
@@ -217,11 +229,10 @@ def _check_against_the_reference(g, w, r, nf, partner, partner_nf, x):
 
 
 def test_word_problem_matches_the_reference_on_every_short_word(short_words):
-    g, max_len, nf_of = short_words
+    g, max_len, nf_of, reduced = short_words
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
     previous, previous_nf = (), ()
-    for k, w in enumerate(all_words(g, max_len)):
-        r = _reference_reduce(g, w)
+    for k, (w, r) in enumerate(zip(all_words(g, max_len), reduced, strict=True)):
         nf = nf_of[r]
         # equal against w's own normal form, or against the word before
         partner, partner_nf = (nf, nf) if k % 2 else (previous, previous_nf)
