@@ -21,6 +21,7 @@ from .words import (
     _inverse_ids,
     _normal_form_ids,
     _reduced_ids,
+    _words,
     commute_elements,
     equal,
     format_word,
@@ -187,48 +188,23 @@ def enumerate_vertices(g, radius):
     """All distinct vertices with conjugator length <= radius, sorted by
     (radius, base, conjugator).
 
-    Breadth-first: the vertices of radius k+1 are the radius-k vertices v
-    conjugated by one more letter l for which the word l^-1 v.key l is
-    reduced. Such a word is a reduced key of length 2k+3; conversely,
-    dropping the outer letters of a radius-(k+1) key leaves a reduced
-    word, since every subword of a reduced word is reduced, for a
-    radius-k vertex.
+    ``ext_vertex`` stores as the conjugator of a base a the normal-form
+    word x in which every letter lies in the link of a or in the link of
+    an earlier letter of x. The canonical walk of ``_words`` yields the
+    normal-form words, and started with every id outside the link of a
+    blocked it yields exactly these: an appended letter unblocks its own
+    base and link. A stripped conjugator is the unique shortest word of
+    its coset of the centraliser of a, so each word is a distinct vertex.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     alphabet = _alphabet(g)
-    ids, stops, letters = alphabet.ids, alphabet.stops, alphabet.letters
-    frontier = [ext_vertex(g, a) for a in g.vertices]
-    seen = {v.key: v for v in frontier}
-    for _ in range(radius):
-        grown = []
-        for v in frontier:
-            key = [ids[lt] for lt in v.key]
-            for c, lt in enumerate(letters):
-                if not _conjugate_is_reduced(stops[c], key, c):
-                    continue
-                u = ext_vertex(g, v.base, v.conjugator + (lt,))
-                if u.key not in seen:
-                    seen[u.key] = u
-                    grown.append(u)
-        frontier = grown
-    return sorted(
-        seen.values(),
-        key=lambda v: (
-            v.radius,
-            ids[Letter(v.base, 1)],
-            tuple([ids[lt] for lt in v.conjugator]),
-        ),
+    found = sorted(
+        (len(x), i, x)
+        for i in range(len(g))
+        for x in _words(g, radius, True, ~alphabet.links[2 * i])
     )
-
-
-def _conjugate_is_reduced(stop, key, c):
-    """Whether the id word c^-1 key c is reduced, for a reduced key and the
-    stop mask of c. Only the outer letters can cancel: c^-1 with the
-    first key letter in the mask, or with c itself when none is, and c
-    with the last one."""
-    hits = [d for d in key if stop >> d & 1]
-    return bool(hits) and hits[0] != c and hits[-1] != c ^ 1
+    return [ext_vertex(g, g.vertices[i], _decode(alphabet, x)) for _, i, x in found]
 
 
 @dataclass(frozen=True)
@@ -336,8 +312,8 @@ def search_induced_embedding_ext(pattern, g, radius):
     anchor_set = set(lex_first_max_independent_set(pattern))
     anchor_order = [v for v in pattern.vertices if v in anchor_set]
     rest = [v for v in pattern.vertices if v not in anchor_set]
-    key_to_idx = {v.key: i for i, v in enumerate(pool)}
-    base_domain = [key_to_idx[(Letter(b, 1),)] for b in g.vertices]
+    # The pool is sorted by (radius, base): the generators come first.
+    base_domain = list(range(len(g)))
     alphabet = _alphabet(g)
     ids = [_vertex_ids(alphabet, v) for v in pool]
     memo = {}

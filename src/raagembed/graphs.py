@@ -25,14 +25,16 @@ class SimplicialGraph:
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex labels")
         if any((not v) or not isinstance(v, str) for v in vertices):
             raise ValueError("vertex labels must be nonempty strings")
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
         norm = set()
         for e in edges:
             u, v = e
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise ValueError(f"edge {u!r}-{v!r} has a label that is not a string")
             if u == v:
                 raise ValueError(f"loop edge at {u!r}")
             if u not in index or v not in index:

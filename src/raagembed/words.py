@@ -252,10 +252,10 @@ def _normal_form_ids(links, w):
     return out
 
 
-def _words(g, max_len, canonical):
+def _words(g, max_len, canonical, blocked=0):
     """Depth-first preorder over the reduced words of length <= max_len,
     as id tuples extended in id order; with ``canonical``, one word per
-    element.
+    element. ``blocked`` is the mask of ids that may not start a word.
 
     Each stacked word carries the mask of ids that may not extend it.
     Appending c clears the bits of its base and link, since their
@@ -270,7 +270,7 @@ def _words(g, max_len, canonical):
         low = ((1 << (c & ~1)) - 1) & ~stop if canonical else 0
         add.append(1 << (c ^ 1) | low)
     top = range(2 * len(g) - 1, -1, -1)
-    stack = [((), 0)]
+    stack = [((), blocked)]
     while stack:
         w, blocked = stack.pop()
         yield w

@@ -223,8 +223,13 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert run(["reduce", "--graph", str(bad), "a"]) == 2
     err = capsys.readouterr().err
     assert "bad.graph:2" in err
-    # a JSON string is not a list of labels or a pair of them
-    for text in ('{"vertices": "xy"}', '{"vertices": ["x", "y"], "edges": ["xy"]}'):
+    # a JSON string is not a list of labels or a pair of them, and a
+    # label is a string
+    for text in (
+        '{"vertices": "xy"}',
+        '{"vertices": ["x", "y"], "edges": ["xy"]}',
+        '{"vertices": ["x", "y"], "edges": [["x", ["y"]]]}',
+    ):
         bad.write_text(text)
         assert run(["ext-enumerate", "--graph", str(bad), "--radius", "0"]) == 2
         captured = capsys.readouterr()

@@ -6,7 +6,6 @@ import pytest
 from raagembed.errors import GraphParseError
 from raagembed.extgraph import (
     ExtVertex,
-    _conjugate_is_reduced,
     enumerate_vertices,
     ext_adjacent,
     ext_vertex,
@@ -29,7 +28,6 @@ from raagembed.graphs import (
 )
 from raagembed.words import (
     Letter,
-    _alphabet,
     canonical_words,
     commutator,
     equal,
@@ -430,22 +428,6 @@ def _reference_enumerate(g, radius):
     )
 
 
-def test_conjugate_reducedness_on_ids_matches_is_reduced():
-    rng = random.Random(19)
-    graphs = [P5, make_cycle(5), make_tripod(1, 1, 1)]
-    graphs += [_random_graph(rng, rng.randint(3, 6)) for _ in range(4)]
-    reduced = 0
-    for g in graphs:
-        alphabet = _alphabet(g)
-        for v in enumerate_vertices(g, 2):
-            key = [alphabet.ids[lt] for lt in v.key]
-            for c, lt in enumerate(alphabet.letters):
-                want = is_reduced(g, (lt.inverse(),) + v.key + (lt,))
-                assert _conjugate_is_reduced(alphabet.stops[c], key, c) == want, (g, v, lt)
-                reduced += want
-    assert reduced > 1000
-
-
 def _enumeration_cases():
     rng = random.Random(11)
     for n in range(1, 8):
@@ -458,6 +440,22 @@ def _enumeration_cases():
         g = _random_graph(rng, rng.randint(3, 6))
         for radius in range(3):
             yield f"random{k}-r{radius}", g, radius
+    # No letter may start a conjugator; every letter may; a star; and a
+    # path whose vertex order is not its order along the path.
+    edgeless = SimplicialGraph(["a", "b", "c", "d"])
+    k4 = SimplicialGraph("abcd", list(combinations("abcd", 2)))
+    shuffled = SimplicialGraph(
+        ["x3", "x1", "x5", "x2", "x4"],
+        [("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5")],
+    )
+    for name, g in (
+        ("edgeless4", edgeless),
+        ("K4", k4),
+        ("K13", make_tripod(1, 1, 1)),
+        ("P5-shuffled", shuffled),
+    ):
+        for radius in range(4):
+            yield f"{name}-r{radius}", g, radius
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,10 @@ def test_graph_validation():
         SimplicialGraph(["a", "b"], [("a", "a")])
     with pytest.raises(ValueError):
         SimplicialGraph(["a", "b"], [("a", "z")])
+    with pytest.raises(ValueError, match=r"edge 'a'-\['b'\] has a label that is not a string"):
+        SimplicialGraph(["a", "b"], [("a", ["b"])])
+    with pytest.raises(ValueError, match="vertex labels must be nonempty strings"):
+        SimplicialGraph([["a"]])
 
 
 def test_text_format_roundtrip():
@@ -316,8 +320,15 @@ def test_parse_errors_carry_positions():
         '{"vertices": ["x", "y"], "edges": ["xy"]}',
         '{"vertices": ["x", "y"], "edges": [["x", "y", "x"]]}',
         '{"vertices": ["x", "y"], "edges": "xy"}',
+        '{"vertices": ["x", "y"], "edges": [["x", ["y"]]]}',
     ],
-    ids=["string-vertices", "string-edge", "three-label-edge", "string-edges"],
+    ids=[
+        "string-vertices",
+        "string-edge",
+        "three-label-edge",
+        "string-edges",
+        "list-label-edge",
+    ],
 )
 def test_json_strings_are_not_read_as_label_lists(text):
     with pytest.raises(GraphParseError):
