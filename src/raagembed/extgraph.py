@@ -70,10 +70,15 @@ def _vertex_ids(alphabet, v):
     the word x^-1 a x, the id mask of its support, that mask plus the
     neighbours of every support vertex), masks taking both signs of a
     vertex. The support is read off the word reduced here, so it is right
-    for any graph on v's labels, not only the one that built v."""
+    for any graph on v's labels, not only the one that built v. A label
+    that is not on the graph raises ValueError."""
     ids, stops = alphabet.ids, alphabet.stops
-    conj = [ids[lt] for lt in v.conjugator]
-    key = tuple(_inverse_ids(conj) + [ids[Letter(v.base, 1)]] + conj)
+    try:
+        conj = [ids[lt] for lt in v.conjugator]
+        a = ids[Letter(v.base, 1)]
+    except KeyError as exc:
+        raise ValueError(f"unknown letter {exc.args[0]!r}") from None
+    key = tuple(_inverse_ids(conj) + [a] + conj)
     reduced = _reduced_ids(stops, key)
     support = reach = 0
     for c in reduced:
@@ -220,10 +225,12 @@ def induced_ext_subgraph(g, S):
     from .graphs import SimplicialGraph
 
     S = _distinct(S)
+    alphabet = _alphabet(g)
+    ids = [_vertex_ids(alphabet, v) for v in S]
     edges = set()
     for i in range(len(S)):
         for j in range(i + 1, len(S)):
-            if ext_adjacent(g, S[i], S[j]):
+            if ext_adjacent(g, S[i], S[j], (ids[i], ids[j])):
                 edges.add((i, j))
     labels = [format_ext_vertex(v) for v in S]
     image = SimplicialGraph(
@@ -249,8 +256,10 @@ def push_to_base(g, items):
     vertices already placed, so the set is moved one vertex at a time.
     """
     items = _distinct(items)
-    for u, v in combinations(items, 2):
-        if ext_adjacent(g, u, v):
+    alphabet = _alphabet(g)
+    ids = [_vertex_ids(alphabet, v) for v in items]
+    for (u, iu), (v, iv) in combinations(zip(items, ids), 2):
+        if ext_adjacent(g, u, v, (iu, iv)):
             raise ValueError(
                 f"set is not independent: {format_ext_vertex(u)} and "
                 f"{format_ext_vertex(v)} do not commute"
@@ -312,37 +321,34 @@ def search_induced_embedding_ext(pattern, g, radius):
     anchor_set = set(lex_first_max_independent_set(pattern))
     anchor_order = [v for v in pattern.vertices if v in anchor_set]
     rest = [v for v in pattern.vertices if v not in anchor_set]
-    # The pool is sorted by (radius, base): the generators come first.
-    base_domain = list(range(len(g)))
     alphabet = _alphabet(g)
     ids = [_vertex_ids(alphabet, v) for v in pool]
-    memo = {}
-    rows = {}
+    # Per pool vertex, the mask of the pool vertices whose adjacency to it
+    # is known, and the mask of those adjacent to it. A pair is evaluated
+    # once and written into both rows.
+    known = [1 << i for i in range(len(pool))]
+    adj = [0] * len(pool)
 
-    def eadj(i, j):
-        if i == j:
-            return False
-        pair = (i, j) if i < j else (j, i)
-        got = memo.get(pair)
-        if got is None:
-            got = memo[pair] = ext_adjacent(g, pool[i], pool[j], (ids[i], ids[j]))
-        return got
-
-    def row(a):
-        """Bitmask of the pool vertices adjacent to pool[a]."""
-        got = rows.get(a)
-        if got is None:
-            va, ia = pool[a], ids[a]
-            got = 0
-            for c, vc in enumerate(pool):
-                if ext_adjacent(g, vc, va, (ids[c], ia)):
-                    got |= 1 << c
-            rows[a] = got
-        return got
+    def row(d, mask):
+        """The pool vertices in ``mask`` adjacent to pool[d]."""
+        todo = mask & ~known[d]
+        if todo:
+            vd, idd, bit = pool[d], ids[d], 1 << d
+            known[d] |= todo
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                c = low.bit_length() - 1
+                known[c] |= bit
+                if ext_adjacent(g, pool[c], vd, (ids[c], idd)):
+                    adj[d] |= low
+                    adj[c] |= bit
+        return adj[d] & mask
 
     everything = (1 << len(pool)) - 1
-    anchor_domains = dict.fromkeys(anchor_order, base_domain)
-    for amap in induced_maps(pattern.adjacent, anchor_order, anchor_domains, eadj):
+    # The pool is sorted by (radius, base): the generators come first.
+    anchor_domains = dict.fromkeys(anchor_order, (1 << len(g)) - 1)
+    for amap in induced_maps(pattern.adjacent, anchor_order, anchor_domains, row):
         free = everything
         for ai in amap.values():
             free &= ~(1 << ai)
@@ -350,28 +356,17 @@ def search_induced_embedding_ext(pattern, g, radius):
         for rv in rest:
             mask = free
             for au in anchor_order:
-                r = row(amap[au])
-                mask &= r if pattern.adjacent(rv, au) else ~r
-            domains[rv] = _bit_indices(mask)
-        if any(not d for d in domains.values()):
+                r = row(amap[au], mask)
+                mask = r if pattern.adjacent(rv, au) else mask & ~r
+            domains[rv] = mask
+        if not all(domains.values()):
             continue
-        order = sorted(rest, key=lambda v: (len(domains[v]), pattern.index(v)))
-        found = next(induced_maps(pattern.adjacent, order, domains, eadj), None)
+        order = sorted(rest, key=lambda v: (domains[v].bit_count(), pattern.index(v)))
+        found = next(induced_maps(pattern.adjacent, order, domains, row), None)
         if found is not None:
             amap.update(found)
             return {pv: pool[i] for pv, i in amap.items()}
     return None
-
-
-def _bit_indices(mask):
-    """Positions of the set bits of a nonnegative int, in increasing order."""
-    bits = bin(mask)[:1:-1]
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
 
 
 def verify_witness(pattern, g, witness):

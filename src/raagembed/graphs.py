@@ -193,39 +193,56 @@ def is_tree(g):
     return is_connected(g) and len(g.edges) == len(g) - 1
 
 
-def induced_maps(wanted, order, domains, adjacent):
+def induced_maps(wanted, order, domains, row):
     """Yield, depth first, the injective maps of the pattern vertices
     ``order`` that keep every adjacency the pattern asks for.
 
+    Candidates are nonnegative integers, and a set of them is a bitmask.
     ``wanted(u, v)`` is True when the images of u and v must be adjacent,
     False when they must not be, and None when the pair is unconstrained.
-    Vertex v tries the candidates of ``domains[v]`` in order; a candidate
-    c for order[k] is kept when adjacent(c, image of order[j]) equals
-    wanted(order[k], order[j]) for every constrained j < k. Each map is a
-    new dict whose keys follow ``order``.
+    ``row(d, mask)`` is the mask of the candidates in ``mask`` adjacent to
+    d. Vertex v tries the candidates of the mask ``domains[v]`` in
+    increasing order. At depth k the unused candidates are narrowed by
+    the image of each constrained j < k in turn, to those whose adjacency
+    to it equals wanted(order[k], order[j]); so row(d, mask) is asked
+    only of the candidates that passed every earlier j. Each map is a new
+    dict whose keys follow ``order``.
     """
     wants = [
         [(j, want) for j in range(k) if (want := wanted(v, order[j])) is not None]
         for k, v in enumerate(order)
     ]
-    yield from _extend_maps(0, order, domains, adjacent, wants, [])
+    yield from _extend_maps(0, order, domains, row, wants, [], 0)
 
 
-def _extend_maps(k, order, domains, adjacent, wants, chosen):
+def _extend_maps(k, order, domains, row, wants, chosen, used):
     """The depth-k step of ``induced_maps``. It is a module function, not
     a closure over itself: a self-referencing closure is a reference
-    cycle, which would keep ``adjacent`` and all it holds alive until the
+    cycle, which would keep ``row`` and all it holds alive until the
     cyclic collector runs."""
     if k == len(order):
         yield dict(zip(order, chosen))
         return
-    for c in domains[order[k]]:
-        if c not in chosen and all(
-            adjacent(c, chosen[j]) == want for j, want in wants[k]
-        ):
-            chosen.append(c)
-            yield from _extend_maps(k + 1, order, domains, adjacent, wants, chosen)
-            chosen.pop()
+    cand = domains[order[k]] & ~used
+    for j, want in wants[k]:
+        adj = row(chosen[j], cand)
+        cand = adj if want else cand & ~adj
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        chosen.append(low.bit_length() - 1)
+        yield from _extend_maps(k + 1, order, domains, row, wants, chosen, used | low)
+        chosen.pop()
+
+
+def _vertex_maps(g, wanted, order, domains):
+    """``induced_maps`` into the graph g: ``domains`` maps each pattern
+    vertex to some of g's vertices, tried in canonical order, and each
+    map sends the pattern vertices to labels of g."""
+    nbrs = [sum(1 << g.index(u) for u in g.neighbors(v)) for v in g.vertices]
+    masks = {v: sum(1 << g.index(u) for u in vs) for v, vs in domains.items()}
+    for found in induced_maps(wanted, order, masks, lambda d, mask: nbrs[d] & mask):
+        yield {v: g.vertices[i] for v, i in found.items()}
 
 
 def find_induced_embeddings(pattern, target):
@@ -240,7 +257,7 @@ def find_induced_embeddings(pattern, target):
         pattern.vertices, key=lambda v: (-pattern.degree(v), pattern.index(v))
     )
     domains = dict.fromkeys(order, target.vertices)
-    yield from induced_maps(pattern.adjacent, order, domains, target.adjacent)
+    yield from _vertex_maps(target, pattern.adjacent, order, domains)
 
 
 def is_isomorphic(g, h):
@@ -358,7 +375,7 @@ def find_tripod_obstruction(g):
     center = [v for v in inner if g.degree(v) >= 3]
     outer = g.vertices
     domains = dict(x=center, a=inner, p=outer, b=inner, q=outer, c=inner, r=outer)
-    found = next(induced_maps(_tripod_wanted, "xapbqcr", domains, g.adjacent), None)
+    found = next(_vertex_maps(g, _tripod_wanted, "xapbqcr", domains), None)
     return None if found is None else {r: found[r] for r in OBSTRUCTION_ROLES}
 
 

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from raagembed import extgraph
 from raagembed.errors import GraphParseError
 from raagembed.extgraph import (
     ExtVertex,
@@ -78,6 +79,17 @@ def test_unknown_conjugator_letter_rejected():
         ext_vertex(P5, "x1", (Letter("zz", 1),))
     with pytest.raises(ValueError):
         ext_vertex(P5, "x1", word("x2", "zz^-1"))
+
+
+def test_vertices_off_the_graph_are_rejected():
+    far = ext_vertex(P6, "x6", word("x5"))
+    near = ext_vertex(P5, "x1")
+    with pytest.raises(ValueError, match="unknown letter"):
+        ext_adjacent(P5, far, near)
+    with pytest.raises(ValueError, match="unknown letter"):
+        induced_ext_subgraph(P5, [far])
+    with pytest.raises(ValueError, match="unknown letter"):
+        push_to_base(P5, [near, far])
 
 
 def test_ext_adjacent_basics():
@@ -487,11 +499,49 @@ def test_search_finds_the_hairy_tree_witness():
     found = search_induced_embedding_ext(tree, make_path(10), 4)
     assert found is not None
     assert verify_witness(tree, make_path(10), found)
+    assert {v: format_ext_vertex(e) for v, e in sorted(found.items())} == {
+        "b": "x1",
+        "c": "x6",
+        "hx": "x3",
+        "hy1": "x8",
+        "hy2": "x10",
+        "x": "x2^(x3 x4)",
+        "y": "x5^(x6 x7 x8 x9)",
+    }
 
 
 def test_search_returns_none_for_the_tripod_at_small_radius():
     t2 = make_tripod(2, 2, 2)
     assert search_induced_embedding_ext(t2, make_path(6), 2) is None
+
+
+@pytest.mark.parametrize(
+    "pattern,n,found",
+    [
+        # a spine of four with one hair on each interior vertex
+        (
+            SimplicialGraph(
+                "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("c", "f")]
+            ),
+            8,
+            True,
+        ),
+        (make_tripod(2, 2, 2), 7, False),
+    ],
+    ids=["H-into-P8", "T222-into-P7"],
+)
+def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found):
+    pairs = []
+
+    def counting(g, u, v, ids=None):
+        pairs.append(frozenset((u.key, v.key)))
+        return ext_adjacent(g, u, v, ids)
+
+    monkeypatch.setattr(extgraph, "ext_adjacent", counting)
+    witness = search_induced_embedding_ext(pattern, make_path(n), 2)
+    assert (witness is not None) == found
+    assert len(pairs) > 100
+    assert len(set(pairs)) == len(pairs)
 
 
 def _reference_search(pattern, g, radius):

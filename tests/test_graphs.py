@@ -10,6 +10,8 @@ from raagembed.errors import GraphParseError
 from raagembed.graphs import (
     OBSTRUCTION_ROLES,
     SimplicialGraph,
+    _tripod_wanted,
+    _vertex_maps,
     all_trees,
     complement,
     components,
@@ -18,6 +20,7 @@ from raagembed.graphs import (
     format_graph,
     graph_to_json,
     induced,
+    induced_maps,
     is_hairy_path,
     is_independent,
     is_isomorphic,
@@ -171,6 +174,93 @@ def test_find_induced_embeddings_matches_brute_force():
         got = [list(m.items()) for m in find_induced_embeddings(pattern, target)]
         want = [list(m.items()) for m in _brute_force_embeddings(pattern, target)]
         assert got == want, (pattern, target)
+
+
+def _reference_induced_maps(wanted, order, domains, adjacent):
+    """The backtracker as it was before candidate masks: vertex v tries
+    the list ``domains[v]`` in order, and a candidate c for order[k] is
+    kept when adjacent(c, image of order[j]) equals wanted(order[k],
+    order[j]) for every constrained j < k, checked one pair at a time."""
+    wants = [
+        [(j, want) for j in range(k) if (want := wanted(v, order[j])) is not None]
+        for k, v in enumerate(order)
+    ]
+    chosen = []
+
+    def extend(k):
+        if k == len(order):
+            yield dict(zip(order, chosen))
+            return
+        for c in domains[order[k]]:
+            if c not in chosen and all(
+                adjacent(c, chosen[j]) == want for j, want in wants[k]
+            ):
+                chosen.append(c)
+                yield from extend(k + 1)
+                chosen.pop()
+
+    yield from extend(0)
+
+
+def _same_maps(got, want):
+    assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+
+
+def test_mask_backtracker_matches_the_reference_on_graphs():
+    for pattern, target in _embedding_cases():
+        order = sorted(
+            pattern.vertices, key=lambda v: (-pattern.degree(v), pattern.index(v))
+        )
+        domains = dict.fromkeys(order, target.vertices)
+        _same_maps(
+            find_induced_embeddings(pattern, target),
+            _reference_induced_maps(pattern.adjacent, order, domains, target.adjacent),
+        )
+
+
+def test_mask_backtracker_matches_the_reference_on_tripod_roles():
+    for g in _random_graphs(3, 16):
+        inner = [v for v in g.vertices if g.degree(v) >= 2]
+        domains = dict(
+            x=[v for v in inner if g.degree(v) >= 3],
+            a=inner, p=g.vertices, b=inner, q=g.vertices, c=inner, r=g.vertices,
+        )
+        _same_maps(
+            _vertex_maps(g, _tripod_wanted, "xapbqcr", domains),
+            _reference_induced_maps(_tripod_wanted, "xapbqcr", domains, g.adjacent),
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_backtracker_matches_the_reference_on_integer_candidates(seed):
+    """Random adjacency on candidates 0..n-1, random domains and a pattern
+    predicate that leaves some pairs unconstrained."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        nbrs = [0] * n
+        for c, d in combinations(range(n), 2):
+            if rng.random() < rng.choice((0.3, 0.5, 0.7)):
+                nbrs[c] |= 1 << d
+                nbrs[d] |= 1 << c
+        order = [f"v{i}" for i in range(rng.randint(1, 5))]
+        rng.shuffle(order)
+        lists = {v: [c for c in range(n) if rng.random() < 0.7] for v in order}
+        masks = {v: sum(1 << c for c in cs) for v, cs in lists.items()}
+        table = {
+            frozenset(pair): rng.choice((True, False, None))
+            for pair in combinations(order, 2)
+        }
+
+        def wanted(u, v, table=table):
+            return table[frozenset((u, v))]
+
+        _same_maps(
+            induced_maps(wanted, order, masks, lambda d, mask: nbrs[d] & mask),
+            _reference_induced_maps(
+                wanted, order, lists, lambda c, d: bool(nbrs[d] >> c & 1)
+            ),
+        )
 
 
 FIG6_TREE = SimplicialGraph(
