@@ -48,9 +48,10 @@ from .words import (
     check_lemma_comm1,
     conjugate_word,
     equal,
-    is_reduced,
+    inverse,
     normal_form,
     reduce,
+    reduced_words,
     support,
 )
 
@@ -133,16 +134,18 @@ def criterion_3():
 
 def criterion_4():
     """Reduced conjugates of a generator: support is the generator plus the
-    conjugator's support, and it spans a connected subgraph. P6, |w| <= 4."""
+    conjugator's support, and it spans a connected subgraph. P6, |w| <= 4.
+
+    A cancellation pair of w is one of w^-1 b w too, so only reduced
+    conjugators w can give a reduced conjugate, and only they are walked."""
     g = make_path(6)
     reduced_conjugates = 0
     violations = []
-    for combo in _all_words(g, 4):
-        w = tuple(combo)
+    for w in reduced_words(g, 4):
         sup_w = None
         for b in g.vertices:
             conj = conjugate_word(g, Letter(b, 1), w)
-            if not is_reduced(g, conj):
+            if len(reduce(g, conj)) != len(conj):
                 continue
             reduced_conjugates += 1
             if sup_w is None:
@@ -404,7 +407,7 @@ def criterion_11(seed=0):
             continue
         trials += 1
         for v, b in zip(chosen, bases):
-            moved = w + v.key + tuple(lt.inverse() for lt in reversed(w))
+            moved = w + v.key + inverse(w)
             if b not in g.vertices or not equal(g, moved, (Letter(b, 1),)):
                 failures.append((format_ext_vertex(v), b))
     return {

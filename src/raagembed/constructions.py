@@ -19,6 +19,7 @@ from .graphs import (
     is_hairy_path,
     find_tripod_obstruction,
     make_path,
+    remove,
 )
 from .homs import (
     GraphHom,
@@ -224,8 +225,6 @@ def deg3_claim_reports(move, length=5):
     """
     if move.kind != "deg3":
         raise ValueError("need a hexagon move result")
-    from .graphs import remove
-
     g1 = move.old_graph
     g2 = move.new_graph
     x = move.vertex

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphParseError, InvariantViolation
-from .graphs import induced_maps, make_path
+from .graphs import SimplicialGraph, induced_maps, is_independent, make_path
 from .words import (
     Letter,
     _alphabet,
@@ -212,39 +212,49 @@ def enumerate_vertices(g, radius):
     return [ext_vertex(g, g.vertices[i], _decode(alphabet, x)) for _, i, x in found]
 
 
+class _ImageGraph(SimplicialGraph):
+    """A graph on the texts of extension vertices. It presents no group,
+    so its labels may hold the '^' and spaces of that syntax."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_label(v):
+        pass
+
+
 @dataclass(frozen=True)
 class ExtSubgraphView:
     """Pairwise adjacency of a finite vertex set, plus the abstract image."""
 
     vertices: tuple
     edges: frozenset  # index pairs (i, j), i < j
-    graph: object  # SimplicialGraph on the textual labels
+
+    @property
+    def graph(self):
+        """The image as a graph on the texts of the vertices."""
+        labels = [format_ext_vertex(v) for v in self.vertices]
+        return _ImageGraph(labels, [(labels[i], labels[j]) for i, j in self.edges])
+
+
+def _ext_edges(g, vertices):
+    """The index pairs (i, j), i < j, of the adjacent vertices in the
+    sequence, each pair asked once in ``combinations`` order; ValueError
+    if two are equal elements."""
+    if len({v.key for v in vertices}) != len(vertices):
+        raise ValueError("duplicate extension vertices")
+    alphabet = _alphabet(g)
+    ids = [_vertex_ids(alphabet, v) for v in vertices]
+    return frozenset(
+        (i, j)
+        for i, j in combinations(range(len(vertices)), 2)
+        if ext_adjacent(g, vertices[i], vertices[j], (ids[i], ids[j]))
+    )
 
 
 def induced_ext_subgraph(g, S):
-    from .graphs import SimplicialGraph
-
-    S = _distinct(S)
-    alphabet = _alphabet(g)
-    ids = [_vertex_ids(alphabet, v) for v in S]
-    edges = set()
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            if ext_adjacent(g, S[i], S[j], (ids[i], ids[j])):
-                edges.add((i, j))
-    labels = [format_ext_vertex(v) for v in S]
-    image = SimplicialGraph(
-        labels, [(labels[i], labels[j]) for i, j in edges]
-    )
-    return ExtSubgraphView(vertices=tuple(S), edges=frozenset(edges), graph=image)
-
-
-def _distinct(vertices):
-    """The vertices as a list; ValueError if two are equal elements."""
-    vertices = list(vertices)
-    if len({v.key for v in vertices}) != len(vertices):
-        raise ValueError("duplicate extension vertices")
-    return vertices
+    S = tuple(S)
+    return ExtSubgraphView(vertices=S, edges=_ext_edges(g, S))
 
 
 def push_to_base(g, items):
@@ -255,15 +265,14 @@ def push_to_base(g, items):
     inverse on the right lands item i on bases[i]. Each step fixes the
     vertices already placed, so the set is moved one vertex at a time.
     """
-    items = _distinct(items)
-    alphabet = _alphabet(g)
-    ids = [_vertex_ids(alphabet, v) for v in items]
-    for (u, iu), (v, iv) in combinations(zip(items, ids), 2):
-        if ext_adjacent(g, u, v, (iu, iv)):
-            raise ValueError(
-                f"set is not independent: {format_ext_vertex(u)} and "
-                f"{format_ext_vertex(v)} do not commute"
-            )
+    items = list(items)
+    edges = _ext_edges(g, items)
+    if edges:
+        i, j = min(edges)
+        raise ValueError(
+            f"set is not independent: {format_ext_vertex(items[i])} and "
+            f"{format_ext_vertex(items[j])} do not commute"
+        )
     total = ()
     current = list(items)
     placed = []
@@ -295,8 +304,6 @@ def push_to_base(g, items):
 
 def lex_first_max_independent_set(g):
     """Lexicographically first maximum independent set (canonical order)."""
-    from .graphs import is_independent
-
     vs = g.vertices
     for size in range(len(vs), 0, -1):
         for combo in combinations(vs, size):
@@ -374,16 +381,11 @@ def verify_witness(pattern, g, witness):
     subgraph of the extension graph."""
     if set(witness) != set(pattern.vertices):
         return False
-    keys = [witness[v].key for v in pattern.vertices]
-    if len(set(keys)) != len(keys):
+    vertices = [witness[v] for v in pattern.vertices]
+    if len({v.key for v in vertices}) != len(vertices):
         return False
-    alphabet = _alphabet(g)
-    ids = {p: _vertex_ids(alphabet, v) for p, v in witness.items()}
-    for u, v in combinations(pattern.vertices, 2):
-        pair = ids[u], ids[v]
-        if ext_adjacent(g, witness[u], witness[v], pair) != pattern.adjacent(u, v):
-            return False
-    return True
+    want = {(pattern.index(u), pattern.index(v)) for u, v in pattern.edges}
+    return _ext_edges(g, vertices) == want
 
 
 def verify_lemma_path(n, radius):

@@ -16,17 +16,21 @@ from .errors import GraphParseError
 class SimplicialGraph:
     """Finite undirected loop-free graph.
 
-    Vertices are short string labels; ``vertices`` fixes the canonical
-    total order. Edges are stored as index-sorted pairs. ``_alphabet``
-    holds the letter-id tables of ``words``, built on first use.
+    Vertices are short string labels without whitespace or '^', so that
+    every word and extension vertex on them can be written and read back;
+    ``vertices`` fixes the canonical total order. Edges are stored as
+    index-sorted pairs. ``_alphabet`` holds the letter-id tables of
+    ``words``, built on first use.
     """
 
     __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
-        if any((not v) or not isinstance(v, str) for v in vertices):
-            raise ValueError("vertex labels must be nonempty strings")
+        for v in vertices:
+            if (not v) or not isinstance(v, str):
+                raise ValueError("vertex labels must be nonempty strings")
+            self._check_label(v)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
@@ -51,6 +55,14 @@ class SimplicialGraph:
             nbrs[v].add(u)
         self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
         self._alphabet = None
+
+    @staticmethod
+    def _check_label(v):
+        if "^" in v or v.split() != [v]:
+            raise ValueError(
+                f"vertex label {v!r} holds whitespace or '^', "
+                "which the word syntax cannot write"
+            )
 
     def __contains__(self, v):
         return v in self._index

@@ -8,10 +8,12 @@ determinism and is fixed to the canonical vertex order.
 
 from __future__ import annotations
 
+from .graphs import remove
 from .words import (
     Letter,
     _alphabet,
     _extend_reduced_ids,
+    _inverse_ids,
     _words,
     commute_elements,
     format_word,
@@ -55,11 +57,11 @@ class GroupMap:
 
     ``domain`` is the graph presenting the domain group; each of its
     vertices maps to a word over ``codomain``'s vertices. ``apply`` is
-    literal substitution and never reduces. The inverse of each image is
-    computed once, at construction.
+    literal substitution and never reduces; a negative letter maps to the
+    inverse of its generator's image.
     """
 
-    __slots__ = ("domain", "codomain", "images", "inverse_images")
+    __slots__ = ("domain", "codomain", "images")
 
     def __init__(self, domain, codomain, images):
         for v in domain.vertices:
@@ -74,13 +76,12 @@ class GroupMap:
         self.domain = domain
         self.codomain = codomain
         self.images = {v: tuple(w) for v, w in images.items()}
-        self.inverse_images = {v: inverse(w) for v, w in self.images.items()}
 
     def apply(self, w):
         out = []
         for lt in w:
-            images = self.images if lt.sign > 0 else self.inverse_images
-            out.extend(images[lt.base])
+            image = self.images[lt.base]
+            out.extend(image if lt.sign > 0 else inverse(image))
         return tuple(out)
 
 
@@ -104,8 +105,6 @@ class InducedHom(GroupMap):
 def kill_generators(g, kill):
     """Retraction onto the group of the graph minus ``kill``: those
     generators map to the identity, everything else to itself."""
-    from .graphs import remove
-
     sub = remove(g, kill)
     incl = GraphHom(sub, g, {v: v for v in sub.vertices})
     return InducedHom(incl)
@@ -146,8 +145,8 @@ def _image_codes(m):
     ids = _alphabet(m.codomain).ids
     codes = []
     for v in m.domain.vertices:
-        codes.append(tuple(ids[lt] for lt in m.images[v]))
-        codes.append(tuple(ids[lt] for lt in m.inverse_images[v]))
+        image = [ids[lt] for lt in m.images[v]]
+        codes += (tuple(image), tuple(_inverse_ids(image)))
     return codes
 
 

@@ -2,8 +2,7 @@
 generators commute exactly when their vertices are NOT adjacent.
 
 Words are flat tuples of letters; equal adjacent letters are never merged
-into exponents, so cancellation detection stays literal. All functions are
-pure and the values immutable.
+into exponents. All functions are pure and the values immutable.
 """
 
 from __future__ import annotations
@@ -37,30 +36,6 @@ def word(*tokens):
 
 def inverse(w):
     return tuple(lt.inverse() for lt in reversed(w))
-
-
-def find_cancellation(g, w):
-    """Positions (i, j) of an innermost cancellation, or None.
-
-    The pair carries inverse letters of one base v with every strictly
-    interior letter outside the link of v and no occurrence of v between;
-    a word admits no such pair exactly when it is reduced.
-    """
-    for i, lt in enumerate(w):
-        nbrs = g.neighbors(lt.base)
-        for j in range(i + 1, len(w)):
-            m = w[j]
-            if m.base == lt.base:
-                if m.sign == -lt.sign:
-                    return (i, j)
-                break
-            if m.base in nbrs:
-                break
-    return None
-
-
-def is_reduced(g, w):
-    return find_cancellation(g, w) is None
 
 
 def reduce(g, w):

@@ -34,7 +34,7 @@ def test_criterion_03_link_support_commutation():
 
 def test_criterion_04_reduced_conjugate_support():
     report = _check(acceptance.criterion_4)
-    assert report["details"]["reduced_conjugates"] > 0
+    assert report["details"]["reduced_conjugates"] == 7446
 
 
 def test_criterion_05_leaf_path_move():

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from raagembed import cli
 from raagembed.cli import run
+from raagembed.errors import InvariantViolation
 from raagembed.extgraph import parse_ext_vertex, verify_witness
 from raagembed.graphs import (
     complement,
@@ -191,6 +193,21 @@ def test_counterexample_command(capsys):
     assert "nontrivial" in capsys.readouterr().out
 
 
+def test_a_verification_failure_exits_1_without_a_report(monkeypatch, capsys, tmp_path):
+    def broken(*args):
+        raise InvariantViolation("broken on purpose")
+
+    monkeypatch.setattr(cli, "counterexample_check", broken)
+    monkeypatch.setattr(cli, "verify_lemma_path", broken)
+    for command in ("counterexample", "verify-lemma-path"):
+        out_file = tmp_path / f"{command}.json"
+        assert run([command, "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure: broken on purpose" in captured.err
+        assert not out_file.exists()
+
+
 def test_verify_all_subset(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     assert run(["verify-all", "1", "5", "--out", str(out_file)]) == 0
@@ -223,12 +240,14 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert run(["reduce", "--graph", str(bad), "a"]) == 2
     err = capsys.readouterr().err
     assert "bad.graph:2" in err
-    # a JSON string is not a list of labels or a pair of them, and a
-    # label is a string
+    # a JSON string is not a list of labels or a pair of them, a label is
+    # a string, and one that words cannot write is refused
     for text in (
         '{"vertices": "xy"}',
         '{"vertices": ["x", "y"], "edges": ["xy"]}',
         '{"vertices": ["x", "y"], "edges": [["x", ["y"]]]}',
+        '{"vertices": ["a b", "c"]}',
+        '{"vertices": ["c", "d^-1"]}',
     ):
         bad.write_text(text)
         assert run(["ext-enumerate", "--graph", str(bad), "--radius", "0"]) == 2

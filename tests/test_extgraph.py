@@ -34,7 +34,6 @@ from raagembed.words import (
     equal,
     format_word,
     inverse,
-    is_reduced,
     normal_form,
     support,
     word,
@@ -42,6 +41,7 @@ from raagembed.words import (
 from test_words import (
     _reference_normal_form,
     _reference_reduce,
+    is_reduced,
     letter_key,
     letters_commute,
 )
@@ -413,6 +413,10 @@ def test_push_to_base_rejects_non_independent_sets():
         P5, [ext_vertex(P5, "x1", word("x2")), ext_vertex(P5, "x4")]
     )
     assert bases == ["x1", "x4"]
+    # (x1, x2) is the first adjacent pair in index order, before (x3, x4)
+    items = [ext_vertex(P5, v) for v in ("x1", "x3", "x4", "x2")]
+    with pytest.raises(ValueError, match="x1 and x2 do not commute"):
+        push_to_base(P5, items)
 
 
 def test_lex_first_max_independent_set():
@@ -588,6 +592,21 @@ def test_the_star_has_a_radius_one_witness_in_p5():
         "v4": parse_ext_vertex("x5^(x4)", P5),
     }
     assert verify_witness(STAR, P5, witness)
+
+
+def test_verify_witness_rejects_bad_witnesses():
+    witness = search_induced_embedding_ext(P5, P5, 0)
+    assert verify_witness(P5, P5, witness)
+    # a missing label and an extra one
+    assert not verify_witness(P5, P5, {**witness, "extra": witness["x1"]})
+    assert not verify_witness(P5, P5, {v: witness[v] for v in P5.vertices[1:]})
+    # two labels on one element: x3 commutes with x1
+    same = {**witness, "x3": ext_vertex(P5, "x1", word("x3"))}
+    assert not verify_witness(P5, P5, same)
+    # x5^(x4) is adjacent to x4 and not to x1 or x2, as x5 is, but it is
+    # adjacent to x3 too: one pair is wrong
+    one_wrong = {**witness, "x5": ext_vertex(P5, "x5", word("x4"))}
+    assert not verify_witness(P5, P5, one_wrong)
 
 
 @pytest.mark.xfail(

@@ -379,6 +379,11 @@ def test_graph_validation():
         SimplicialGraph(["a", "b"], [("a", ["b"])])
     with pytest.raises(ValueError, match="vertex labels must be nonempty strings"):
         SimplicialGraph([["a"]])
+    # labels that the word and extension-vertex syntax cannot write
+    with pytest.raises(ValueError, match="vertex label 'a b'"):
+        SimplicialGraph(["a b", "c"])
+    with pytest.raises(ValueError, match=r"vertex label 'd\^-1'"):
+        SimplicialGraph(["c", "d^-1"])
 
 
 def test_text_format_roundtrip():

@@ -17,10 +17,8 @@ from raagembed.words import (
     commute_elements,
     conjugate_word,
     equal,
-    find_cancellation,
     format_word,
     inverse,
-    is_reduced,
     is_trivial,
     iterated_commutator,
     normal_form,
@@ -102,29 +100,39 @@ def test_reduce_examples():
     assert len(reduce(P5, parse_word("x1 x3 x1"))) == 3
 
 
+def find_cancellation(g, w):
+    """Positions (i, j) of an innermost cancellation, or None.
+
+    The pair carries inverse letters of one base v with every strictly
+    interior letter outside the link of v and no occurrence of v between;
+    a word admits no such pair exactly when it is reduced.
+    """
+    for i, lt in enumerate(w):
+        nbrs = g.neighbors(lt.base)
+        for j in range(i + 1, len(w)):
+            m = w[j]
+            if m.base == lt.base:
+                if m.sign == -lt.sign:
+                    return (i, j)
+                break
+            if m.base in nbrs:
+                break
+    return None
+
+
+def is_reduced(g, w):
+    return find_cancellation(g, w) is None
+
+
 def _reference_reduce(g, w):
     """The innermost-pair loop ``reduce`` replaced: find the first letter
     with an inverse partner it commutes up to, delete both, start over."""
     current = list(w)
-    while True:
-        hit = None
-        for i, lt in enumerate(current):
-            nbrs = g.neighbors(lt.base)
-            for j in range(i + 1, len(current)):
-                m = current[j]
-                if m.base == lt.base:
-                    if m.sign == -lt.sign:
-                        hit = (i, j)
-                    break
-                if m.base in nbrs:
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            return tuple(current)
+    while (hit := find_cancellation(g, current)) is not None:
         i, j = hit
         del current[j]
         del current[i]
+    return tuple(current)
 
 
 def test_reduce_matches_the_reference_on_random_long_words():
