@@ -117,8 +117,7 @@ def criterion_3():
     g = make_path(5)
     checked = 0
     disagreements = []
-    for combo in _all_words(g, 5):
-        w = tuple(combo)
+    for w in _all_words(g, 5):
         for a in g.vertices:
             direct, by_support = check_lemma_comm1(g, a, w)
             if direct != by_support:

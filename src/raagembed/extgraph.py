@@ -212,17 +212,6 @@ def enumerate_vertices(g, radius):
     return [ext_vertex(g, g.vertices[i], _decode(alphabet, x)) for _, i, x in found]
 
 
-class _ImageGraph(SimplicialGraph):
-    """A graph on the texts of extension vertices. It presents no group,
-    so its labels may hold the '^' and spaces of that syntax."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_label(v):
-        pass
-
-
 @dataclass(frozen=True)
 class ExtSubgraphView:
     """Pairwise adjacency of a finite vertex set, plus the abstract image."""
@@ -234,13 +223,14 @@ class ExtSubgraphView:
     def graph(self):
         """The image as a graph on the texts of the vertices."""
         labels = [format_ext_vertex(v) for v in self.vertices]
-        return _ImageGraph(labels, [(labels[i], labels[j]) for i, j in self.edges])
+        return SimplicialGraph(labels, [(labels[i], labels[j]) for i, j in self.edges])
 
 
 def _ext_edges(g, vertices):
     """The index pairs (i, j), i < j, of the adjacent vertices in the
     sequence, each pair asked once in ``combinations`` order; ValueError
-    if two are equal elements."""
+    if two are equal elements. Every pair is asked, with no early exit, so
+    that one routine serves the accepting and the rejecting callers."""
     if len({v.key for v in vertices}) != len(vertices):
         raise ValueError("duplicate extension vertices")
     alphabet = _alphabet(g)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import GraphParseError
 
@@ -16,21 +17,17 @@ from .errors import GraphParseError
 class SimplicialGraph:
     """Finite undirected loop-free graph.
 
-    Vertices are short string labels without whitespace or '^', so that
-    every word and extension vertex on them can be written and read back;
-    ``vertices`` fixes the canonical total order. Edges are stored as
-    index-sorted pairs. ``_alphabet`` holds the letter-id tables of
-    ``words``, built on first use.
+    Vertices are short string labels; ``vertices`` fixes the canonical
+    total order. Edges are stored as index-sorted pairs. ``_alphabet``
+    holds the letter-id tables of ``words``, built on first use.
     """
 
     __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
-        for v in vertices:
-            if (not v) or not isinstance(v, str):
-                raise ValueError("vertex labels must be nonempty strings")
-            self._check_label(v)
+        if any((not v) or not isinstance(v, str) for v in vertices):
+            raise ValueError("vertex labels must be nonempty strings")
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
@@ -55,14 +52,6 @@ class SimplicialGraph:
             nbrs[v].add(u)
         self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
         self._alphabet = None
-
-    @staticmethod
-    def _check_label(v):
-        if "^" in v or v.split() != [v]:
-            raise ValueError(
-                f"vertex label {v!r} holds whitespace or '^', "
-                "which the word syntax cannot write"
-            )
 
     def __contains__(self, v):
         return v in self._index
@@ -140,14 +129,8 @@ def make_tripod(p, q, r):
 
 def complement(g):
     """Same vertices; edge exactly where g has a non-edge."""
-    vs = g.vertices
-    edges = [
-        (vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-        if not g.adjacent(vs[i], vs[j])
-    ]
-    return SimplicialGraph(vs, edges)
+    edges = [(u, v) for u, v in combinations(g.vertices, 2) if not g.adjacent(u, v)]
+    return SimplicialGraph(g.vertices, edges)
 
 
 def induced(g, keep):
@@ -171,10 +154,7 @@ def remove(g, drop):
 
 
 def is_independent(g, vs):
-    vs = list(vs)
-    return not any(
-        g.adjacent(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))
-    )
+    return not any(g.adjacent(u, v) for u, v in combinations(vs, 2))
 
 
 def components(g):
@@ -479,10 +459,7 @@ def parse_graph(text, name="<graph>"):
             isinstance(e, list) and len(e) == 2 for e in edges
         ):
             raise GraphParseError(f"{name}: JSON graph edges must be label pairs")
-        try:
-            return SimplicialGraph(data["vertices"], edges)
-        except (ValueError, TypeError) as exc:
-            raise GraphParseError(f"{name}: {exc}") from None
+        return _read_graph(data["vertices"], edges, name)
 
     vertices = None
     edges = []
@@ -505,9 +482,21 @@ def parse_graph(text, name="<graph>"):
             raise GraphParseError(f"{name}:{lineno}: unrecognized line {line!r}")
     if vertices is None:
         raise GraphParseError(f"{name}: missing 'vertices:' line")
+    return _read_graph(vertices, edges, name)
+
+
+def _read_graph(vertices, edges, name):
+    """The graph on the parsed labels. A label with whitespace or '^' is
+    refused, since no word or extension vertex on it can be written."""
+    for v in vertices:
+        if isinstance(v, str) and ("^" in v or any(c.isspace() for c in v)):
+            raise GraphParseError(
+                f"{name}: vertex label {v!r} holds whitespace or '^', "
+                "which the word syntax cannot write"
+            )
     try:
         return SimplicialGraph(vertices, edges)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise GraphParseError(f"{name}: {exc}") from None
 
 

@@ -8,6 +8,8 @@ determinism and is fixed to the canonical vertex order.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .graphs import remove
 from .words import (
     Letter,
@@ -124,15 +126,11 @@ def compose(outer, inner):
 def check_relator_preservation(m):
     """Well-definedness: images of generators that commute in the domain
     group (non-adjacent vertices) must commute in the codomain group."""
-    vs = m.domain.vertices
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not m.domain.adjacent(vs[i], vs[j]):
-                if not commute_elements(
-                    m.codomain, m.images[vs[i]], m.images[vs[j]]
-                ):
-                    return False
-    return True
+    return all(
+        commute_elements(m.codomain, m.images[u], m.images[v])
+        for u, v in combinations(m.domain.vertices, 2)
+        if not m.domain.adjacent(u, v)
+    )
 
 
 def _check_bound(max_len):

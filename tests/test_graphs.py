@@ -380,10 +380,12 @@ def test_graph_validation():
     with pytest.raises(ValueError, match="vertex labels must be nonempty strings"):
         SimplicialGraph([["a"]])
     # labels that the word and extension-vertex syntax cannot write
-    with pytest.raises(ValueError, match="vertex label 'a b'"):
-        SimplicialGraph(["a b", "c"])
-    with pytest.raises(ValueError, match=r"vertex label 'd\^-1'"):
-        SimplicialGraph(["c", "d^-1"])
+    with pytest.raises(GraphParseError, match="vertex label 'a b'"):
+        parse_graph('{"vertices": ["a b", "c"]}')
+    with pytest.raises(GraphParseError, match=r"vertex label 'd\^-1'"):
+        parse_graph('{"vertices": ["c", "d^-1"]}')
+    with pytest.raises(GraphParseError, match=r"vertex label 'x\^-1'"):
+        parse_graph("vertices: x^-1 y\n")
 
 
 def test_text_format_roundtrip():
