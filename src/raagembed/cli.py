@@ -152,11 +152,11 @@ def _cmd_ext_induced(config):
     if not S:
         raise GraphParseError("ext-induced: needs at least one vertex")
     view = induced_ext_subgraph(g, S)
+    texts = [format_ext_vertex(v) for v in view.vertices]
+    for i, text in enumerate(texts, 1):
+        print(f"# u{i} = {text}")
     print(format_graph(view.graph), end="")
-    return {
-        "vertices": [format_ext_vertex(v) for v in view.vertices],
-        "image": graph_to_json(view.graph),
-    }, 0
+    return {"vertices": texts, "image": graph_to_json(view.graph)}, 0
 
 
 def _cmd_embed_search(config):

@@ -94,13 +94,15 @@ def ext_vertex(g, base, w=()):
     contribute nothing to the conjugate and are stripped, which leaves the
     stored conjugate expression reduced. When nothing is stripped, the
     normal form of w is already the conjugator. The work runs on letter
-    ids; the result is decoded once.
+    ids, each normal form (of w, of the stripped conjugator, of the key)
+    in one pass of ``_normal_form_ids`` over an unreduced word; the result
+    is decoded once.
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
     alphabet = _alphabet(g)
     stops, links = alphabet.stops, alphabet.links
-    u = _normal_form_ids(links, _reduced_ids(stops, _encode(alphabet, w)))
+    u = _normal_form_ids(stops, _encode(alphabet, w))
     # A letter is kept when it is in the link of a or blocked by a letter
     # kept before it; any other letter shuffles to the front and commutes
     # with a. Stripping a letter changes no earlier letter's test, so one
@@ -114,16 +116,14 @@ def ext_vertex(g, base, w=()):
             conj.append(c)
             blocked |= links[c]
     if len(conj) < len(u):
-        conj = _normal_form_ids(links, conj)
-    key = _reduced_ids(stops, _inverse_ids(conj) + [a] + conj)
+        conj = _normal_form_ids(stops, conj)
+    key = _normal_form_ids(stops, _inverse_ids(conj) + [a] + conj)
     if len(key) != 2 * len(conj) + 1:
         raise InvariantViolation(
             f"conjugate of {base!r} by {format_word(_decode(alphabet, conj))!r} "
             "failed to canonicalize"
         )
-    return ExtVertex(
-        base, _decode(alphabet, conj), _decode(alphabet, _normal_form_ids(links, key))
-    )
+    return ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key))
 
 
 def format_ext_vertex(v):
@@ -221,8 +221,9 @@ class ExtSubgraphView:
 
     @property
     def graph(self):
-        """The image as a graph on the texts of the vertices."""
-        labels = [format_ext_vertex(v) for v in self.vertices]
+        """The image as a graph on the labels u1..uk, u<i> standing for the
+        i-th vertex: a vertex text such as x2^(x3 x4) is no readable label."""
+        labels = [f"u{i}" for i in range(1, len(self.vertices) + 1)]
         return SimplicialGraph(labels, [(labels[i], labels[j]) for i, j in self.edges])
 
 

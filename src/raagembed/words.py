@@ -51,8 +51,9 @@ def reduce(g, w):
 
 
 def normal_form(g, w):
-    """Canonical reduced word: repeatedly emit the least letter (by vertex
-    order, then sign) that commutes with everything still ahead of it.
+    """Canonical reduced word: the lexicographically least reduced word
+    for the element, letters ordered by vertex, then sign; one insertion
+    pass of ``_normal_form_ids`` over w, reduced or not, builds it.
 
     Two words get the same normal form exactly when they represent the
     same group element. A tuple that is already its normal form is
@@ -60,7 +61,7 @@ def normal_form(g, w):
     """
     a = _alphabet(g)
     ids = _encode(a, w)
-    return _as_word(a, w, ids, _normal_form_ids(a.links, _reduced_ids(a.stops, ids)))
+    return _as_word(a, w, ids, _normal_form_ids(a.stops, ids))
 
 
 def is_trivial(g, w):
@@ -208,22 +209,41 @@ def _extend_reduced_ids(stops, out, w):
             out.append(c)
 
 
-def _normal_form_ids(links, w):
-    """``normal_form`` of the reduced id word w, as an id list: repeatedly
-    emit the least id that no letter still ahead of it blocks, a letter
-    blocking the ids in its link mask."""
-    remaining = list(w)
+def _normal_form_ids(stops, w):
+    """``normal_form`` of the id word w, reduced or not, as an id list, in
+    one pass. Each id c scans back over the letters it commutes with, as
+    in ``_extend_reduced_ids``, to the first letter in ``stops[c]``. If
+    that is c's inverse, it is deleted; else c is inserted before the
+    leftmost scanned letter above c, or at the end if there is none.
+
+    A reduced word is the least of its element's reduced words, in id
+    order, exactly when it has no factor b v a with a < b and a commuting
+    with b and with all of v (Anisimov and Knuth, "Inhomogeneous
+    sorting", 1979). Let ``out`` be in normal form. An inserted c makes
+    no such factor. One ending at c would start at a scanned letter above
+    c ahead of it (there is none) or run through the stop letter, which
+    commutes with c only when it equals c and then ended an older factor.
+    One starting at c would, without c, start at the letter after c,
+    which is above c: an older factor. A deleted inverse commutes with
+    every letter after it, so a factor across its place held it in v
+    before. And ``out`` stays reduced: an inverse that c could reach past
+    commuting letters is where its scan stops."""
     out = []
-    while remaining:
-        best, t = remaining[0], 0
-        blocked = links[best]
-        for i in range(1, len(remaining)):
-            c = remaining[i]
-            if c < best and not blocked >> c & 1:
-                best, t = c, i
-            blocked |= links[c]
-        out.append(best)
-        del remaining[t]
+    for c in w:
+        stop = stops[c]
+        i = p = len(out)
+        while i:
+            i -= 1
+            d = out[i]
+            if stop >> d & 1:
+                if d == c ^ 1:
+                    p = -1
+                    del out[i]
+                break
+            if d > c:
+                p = i
+        if p >= 0:
+            out.insert(p, c)
     return out
 
 

@@ -7,13 +7,14 @@ import pytest
 from raagembed import cli
 from raagembed.cli import run
 from raagembed.errors import InvariantViolation
-from raagembed.extgraph import parse_ext_vertex, verify_witness
+from raagembed.extgraph import induced_ext_subgraph, parse_ext_vertex, verify_witness
 from raagembed.graphs import (
     complement,
     format_graph,
     load_graph,
     make_path,
     make_tripod,
+    parse_graph,
 )
 
 
@@ -73,6 +74,22 @@ def test_ext_commands(capsys, p5_file):
     assert out.startswith("5 vertices within radius 0")
     assert run(["ext-induced", "--graph", p5_file, "x1", "x2", "x1^(x2 x3)"]) == 0
     assert "vertices:" in capsys.readouterr().out
+
+
+def test_ext_induced_prints_an_image_that_reads_back(tmp_path, capsys, p5_file):
+    texts = ["x1^(x2 x3)", "x2", "x1", "x2^(x3 x4)"]
+    out_file = tmp_path / "image.json"
+    assert run(["ext-induced", "--graph", p5_file, *texts, "--out", str(out_file)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[:4] == [f"# u{i} = {t}" for i, t in enumerate(texts, 1)]
+    report = json.loads(out_file.read_text())
+    assert report["vertices"] == texts
+    g = load_graph(p5_file)
+    view = induced_ext_subgraph(g, [parse_ext_vertex(t, g) for t in texts])
+    for image in (parse_graph(printed), parse_graph(json.dumps(report["image"]))):
+        assert image.vertices == ("u1", "u2", "u3", "u4")
+        edges = {tuple(sorted((image.index(u), image.index(v)))) for u, v in image.edges}
+        assert edges == view.edges
 
 
 def test_embed_search_witness_roundtrip(tmp_path, capsys, p5_file):

@@ -326,12 +326,15 @@ def test_conjugation_equivariance():
 
 
 def test_induced_subgraph_on_base_vertices_is_the_graph():
-    # identical on labels, not just isomorphic
-    view = induced_ext_subgraph(P5, [ext_vertex(P5, a) for a in P5.vertices])
-    assert view.graph == P5
-    t = make_tripod(2, 2, 2)
-    view = induced_ext_subgraph(t, [ext_vertex(t, a) for a in t.vertices])
-    assert view.graph == t
+    # identical on labels, not just isomorphic, once u<i> is read as the
+    # i-th vertex
+    for g in (P5, make_tripod(2, 2, 2)):
+        view = induced_ext_subgraph(g, [ext_vertex(g, a) for a in g.vertices])
+        assert [format_ext_vertex(v) for v in view.vertices] == list(g.vertices)
+        u = {a: f"u{i}" for i, a in enumerate(g.vertices, 1)}
+        assert view.graph == SimplicialGraph(
+            [u[a] for a in g.vertices], [(u[a], u[b]) for a, b in g.edges]
+        )
 
 
 def test_induced_subgraph_deg1k_star_pattern():

@@ -167,9 +167,9 @@ def _random_graph(rng):
 
 
 def _kernel_normal_form(g, w):
-    """``normal_form`` of a reduced word through the id kernel."""
+    """``normal_form`` of a word, reduced or not, through the id kernel."""
     alphabet = _alphabet(g)
-    out = _normal_form_ids(alphabet.links, [alphabet.ids[lt] for lt in w])
+    out = _normal_form_ids(alphabet.stops, [alphabet.ids[lt] for lt in w])
     return tuple(alphabet.letters[c] for c in out)
 
 
@@ -217,6 +217,15 @@ def test_normal_form_kernel_matches_normal_form_on_random_long_words():
                 Letter(rng.choice(g.vertices), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 40))
             ))
+            assert _kernel_normal_form(g, w) == _reference_normal_form(g, w), format_word(w)
+        for _ in range(15):
+            # unreduced input; few bases make long cancelling runs likely
+            bases = rng.sample(g.vertices, rng.randint(1, len(g)))
+            w = tuple(
+                Letter(rng.choice(bases), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 120))
+            )
+            # the reference reduces w before it sorts
             assert _kernel_normal_form(g, w) == _reference_normal_form(g, w), format_word(w)
 
 
@@ -310,6 +319,22 @@ def test_normal_form_examples():
     assert normal_form(P5, word("x3", "x1")) == word("x1", "x3")
     assert normal_form(P5, word("x3", "x2")) == word("x3", "x2")
     assert normal_form(P5, word("x1", "x3", "x1")) == word("x1", "x1", "x3")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x5 x3 x1 x5^-1 x2", "x1 x3 x2"),
+        ("x4 x1 x3 x1^-1 x2", "x4 x3 x2"),
+        ("x5 x4 x1 x3 x1^-1 x4^-1", "x5 x4 x3 x4^-1"),
+    ],
+)
+def test_normal_form_cancels_after_an_insertion(text, expected):
+    # each word puts a letter ahead of a greater one, then cancels a
+    # letter that such an insertion passed
+    w = parse_word(text, P5)
+    assert normal_form(P5, w) == parse_word(expected, P5)
+    assert _kernel_normal_form(P5, w) == _reference_normal_form(P5, w)
 
 
 def test_a_word_already_in_the_asked_form_is_returned_itself():
