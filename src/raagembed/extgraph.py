@@ -15,6 +15,7 @@ from .graphs import SimplicialGraph, induced_maps, is_independent, make_path
 from .words import (
     Letter,
     _alphabet,
+    _bits,
     _decode,
     _encode,
     _extend_reduced_ids,
@@ -196,19 +197,20 @@ def enumerate_vertices(g, radius):
     ``ext_vertex`` stores as the conjugator of a base a the normal-form
     word x in which every letter lies in the link of a or in the link of
     an earlier letter of x. The canonical walk of ``_words`` yields the
-    normal-form words, and started with every id outside the link of a
-    blocked it yields exactly these: an appended letter unblocks its own
-    base and link. A stripped conjugator is the unique shortest word of
+    normal-form words, those of length radius as leaf masks, and started
+    with every id outside the link of a blocked it yields exactly these:
+    an appended letter unblocks its own base and link. A stripped conjugator is the unique shortest word of
     its coset of the centraliser of a, so each word is a distinct vertex.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     alphabet = _alphabet(g)
-    found = sorted(
-        (len(x), i, x)
-        for i in range(len(g))
-        for x in _words(g, radius, True, ~alphabet.links[2 * i])
-    )
+    found = []
+    for i in range(len(g)):
+        for x, leaves in _words(g, radius, True, ~alphabet.links[2 * i]):
+            found.append((len(x), i, x))
+            found += [(len(x) + 1, i, x + (c,)) for c in _bits(leaves)]
+    found.sort()
     return [ext_vertex(g, g.vertices[i], _decode(alphabet, x)) for _, i, x in found]
 
 

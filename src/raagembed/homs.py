@@ -14,8 +14,10 @@ from .graphs import remove
 from .words import (
     Letter,
     _alphabet,
+    _bits,
     _extend_reduced_ids,
     _inverse_ids,
+    _reduced_ids,
     _words,
     commute_elements,
     format_word,
@@ -70,6 +72,8 @@ class GroupMap:
             if v not in images:
                 raise ValueError(f"no image word for generator {v!r}")
         for v, w in images.items():
+            if v not in domain:
+                raise ValueError(f"image for unknown domain vertex {v!r}")
             for lt in w:
                 if lt.base not in codomain:
                     raise ValueError(
@@ -153,33 +157,58 @@ def _format_ids(g, w):
     return format_word(letters[c] for c in w)
 
 
-def _reduced_images(m, max_len):
-    """Yield (w, reduced image of w) as letter ids for each nonempty
-    canonical domain word of length <= max_len. The words come in
-    depth-first preorder, so the image of w extends the stacked image of
-    w[:-1]. The yielded list must not be modified."""
-    stops = _alphabet(m.codomain).stops
-    codes = _image_codes(m)
-    stack = [[]]
-    for w in _words(m.domain, max_len, True):
-        if w:
-            del stack[len(w):]
-            image = stack[-1].copy()
-            _extend_reduced_ids(stops, image, codes[w[-1]])
-            stack.append(image)
-            yield w, image
+def _times(stops, image, code):
+    """The reduced id list of the reduced id list ``image`` times the ids
+    ``code``, as a new list."""
+    out = image.copy()
+    _extend_reduced_ids(stops, out, code)
+    return out
+
+
+def _reduced_images(domain, stops, codes, max_len):
+    """Yield (w, reduced image of w, leaves) as letter ids for each
+    canonical domain word w of the walk of ``_words``: the words shorter
+    than max_len, the empty word included, each with the mask of its leaf
+    children of length max_len, whose images are not built. The words
+    come in depth-first preorder, so the image of w extends the stacked
+    image of w[:-1]. The yielded list must not be modified."""
+    stack = []
+    for w, leaves in _words(domain, max_len, True):
+        image = _times(stops, stack[len(w) - 1], codes[w[-1]]) if w else []
+        del stack[len(w):]
+        stack.append(image)
+        yield w, image, leaves
 
 
 def bounded_injectivity(m, max_len):
     """Check that no nontrivial domain element of length <= max_len maps
-    to the identity; one canonical word per element is enumerated."""
+    to the identity; one canonical word per element is enumerated.
+
+    The words of length max_len come from ``_words`` as leaf masks: they
+    are counted by popcount, and a leaf w c is reduced only when the
+    reduced image of c has the reduced length of the image of w. Reduced
+    words in a right-angled Artin group are geodesic, so the image of
+    w c is trivial only if those two lengths are equal. The length is
+    that of the reduced image, since images (of ``compose``, say) need
+    not be reduced."""
     _check_bound(max_len)
+    stops = _alphabet(m.codomain).stops
+    codes = _image_codes(m)
+    by_len = {}
+    for c, code in enumerate(codes):
+        n = len(_reduced_ids(stops, code))
+        by_len[n] = by_len.get(n, 0) | 1 << c
     checked = 0
     violations = []
-    for w, image in _reduced_images(m, max_len):
-        checked += 1
-        if not image:
-            violations.append(_format_ids(m.domain, w))
+    for w, image, leaves in _reduced_images(m.domain, stops, codes, max_len):
+        if w:
+            checked += 1
+            if not image:
+                violations.append(_format_ids(m.domain, w))
+        checked += leaves.bit_count()
+        for c in _bits(leaves & by_len.get(len(image), 0)):
+            if not _times(stops, image, codes[c]):
+                violations.append(_format_ids(m.domain, w + (c,)))
     return {"bound": max_len, "checked": checked, "violations": violations}
 
 
@@ -193,6 +222,11 @@ def check_surviving(m, v_prime, max_len):
     representatives have distinct literal images. One state is stacked
     per depth of the preorder: whether the image has such a pair, and the
     id of its last v_prime letter (-1 once a link letter follows it).
+    The words of length max_len come from ``_words`` as leaf masks and
+    are settled in bulk: all of them violate when their parent's image
+    has cancelled, and otherwise those in the precomputed mask of ids
+    whose image completes a cancellation from the parent's last v_prime
+    letter.
     """
     if v_prime not in m.codomain:
         raise ValueError(f"unknown vertex {v_prime!r}")
@@ -200,25 +234,35 @@ def check_surviving(m, v_prime, max_len):
     p = 2 * m.codomain.index(v_prime)
     stop = _alphabet(m.codomain).stops[p]
     codes = _image_codes(m)
-    checked = 0
-    violations = []
-    stack = [(False, -1)]
-    for w in _words(m.domain, max_len, False):
-        checked += 1
-        if not w:
-            continue
-        del stack[len(w):]
-        cancelled, last = stack[-1]
-        for d in codes[w[-1]]:
+
+    def scan(cancelled, last, code):
+        for d in code:
             if stop >> d & 1:
                 if d | 1 == p | 1:
                     cancelled = cancelled or d == last ^ 1
                     last = d
                 else:
                     last = -1
-        stack.append((cancelled, last))
+        return cancelled, last
+
+    cancels = {
+        last: sum(1 << c for c, code in enumerate(codes) if scan(False, last, code)[0])
+        for last in (-1, p, p | 1)
+    }
+    checked = 0
+    violations = []
+    stack = []
+    for w, leaves in _words(m.domain, max_len, False):
+        state = scan(*stack[len(w) - 1], codes[w[-1]]) if w else (False, -1)
+        del stack[len(w):]
+        stack.append(state)
+        checked += 1 + leaves.bit_count()
+        cancelled, last = state
         if cancelled:
             violations.append(_format_ids(m.domain, w))
+        else:
+            leaves &= cancels[last]
+        violations += [_format_ids(m.domain, w + (c,)) for c in _bits(leaves)]
     return {
         "vertex": v_prime,
         "bound": max_len,
@@ -230,7 +274,9 @@ def check_surviving(m, v_prime, max_len):
 def check_support_propagation(m, trigger, required, max_len):
     """Bounded check: every element whose support contains ``trigger``
     has an image whose support meets ``required``. A canonical word is
-    reduced, so its support is the set of its bases."""
+    reduced, so its support is the set of its bases. The words of length
+    max_len come from ``_words`` as leaf masks; a leaf without the
+    trigger is skipped, and only the others have their images reduced."""
     if trigger not in m.domain:
         raise ValueError(f"unknown trigger vertex {trigger!r}")
     required = frozenset(required)
@@ -238,16 +284,23 @@ def check_support_propagation(m, trigger, required, max_len):
         if v not in m.codomain:
             raise ValueError(f"unknown required vertex {v!r}")
     _check_bound(max_len)
+    stops = _alphabet(m.codomain).stops
+    codes = _image_codes(m)
     t = 2 * m.domain.index(trigger)
     wanted = sum(3 << 2 * m.codomain.index(v) for v in required)
     checked = 0
     violations = []
-    for w, image in _reduced_images(m, max_len):
-        if t not in w and t + 1 not in w:
-            continue
-        checked += 1
-        if not any(wanted >> d & 1 for d in image):
-            violations.append(_format_ids(m.domain, w))
+    for w, image, leaves in _reduced_images(m.domain, stops, codes, max_len):
+        if t in w or t + 1 in w:
+            checked += 1
+            if not any(wanted >> d & 1 for d in image):
+                violations.append(_format_ids(m.domain, w))
+        else:
+            leaves &= 3 << t
+        checked += leaves.bit_count()
+        for c in _bits(leaves):
+            if not any(wanted >> d & 1 for d in _times(stops, image, codes[c])):
+                violations.append(_format_ids(m.domain, w + (c,)))
     return {
         "trigger": trigger,
         "required": sorted(required),

@@ -252,6 +252,13 @@ def _words(g, max_len, canonical, blocked=0):
     as id tuples extended in id order; with ``canonical``, one word per
     element. ``blocked`` is the mask of ids that may not start a word.
 
+    Yields ``(w, leaves)`` for each word w shorter than max_len (for
+    max_len 0, just ``((), 0)``). ``leaves`` is the mask of the ids c for
+    which ``w + (c,)`` is a word of length max_len: 0 unless w has length
+    max_len - 1. The words of length max_len are not built; in preorder
+    they come right after their parent, in ascending id order (see
+    ``_bits``).
+
     Each stacked word carries the mask of ids that may not extend it.
     Appending c clears the bits of its base and link, since their
     backward scans now stop at c, which was allowed; it sets the bit of
@@ -259,17 +266,24 @@ def _words(g, max_len, canonical, blocked=0):
     bits of every lower-indexed vertex commuting with c, whose letters
     could shuffle ahead of c.
     """
+    if max_len == 0:
+        yield (), 0
+        return
     keep, add = [], []
     for c, stop in enumerate(_alphabet(g).stops):
         keep.append(~stop)
         low = ((1 << (c & ~1)) - 1) & ~stop if canonical else 0
         add.append(1 << (c ^ 1) | low)
+    every = (1 << 2 * len(g)) - 1
     top = range(2 * len(g) - 1, -1, -1)
+    last = max_len - 1
     stack = [((), blocked)]
     while stack:
         w, blocked = stack.pop()
-        yield w
-        if len(w) < max_len:
+        if len(w) == last:
+            yield w, every & ~blocked
+        else:
+            yield w, 0
             stack += [
                 (w + (c,), blocked & keep[c] | add[c])
                 for c in top
@@ -277,18 +291,34 @@ def _words(g, max_len, canonical, blocked=0):
             ]
 
 
+def _bits(mask):
+    """The ids of the set bits of mask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _decoded_words(g, max_len, canonical):
+    """Every word of the walk of ``_words``, leaves expanded, as letters."""
+    letters = _alphabet(g).letters
+    for w, leaves in _words(g, max_len, canonical):
+        prefix = tuple([letters[c] for c in w])
+        yield prefix
+        for c in _bits(leaves):
+            yield prefix + (letters[c],)
+
+
 def canonical_words(g, max_len):
     """Yield the canonical reduced word of every element of length <= max_len."""
-    letters = _alphabet(g).letters
-    for w in _words(g, max_len, canonical=True):
-        yield tuple([letters[c] for c in w])
+    yield from _decoded_words(g, max_len, True)
 
 
 def reduced_words(g, max_len):
     """Yield every reduced word of length <= max_len (all representatives)."""
-    letters = _alphabet(g).letters
-    for w in _words(g, max_len, canonical=False):
-        yield tuple([letters[c] for c in w])
+    yield from _decoded_words(g, max_len, False)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ from raagembed.homs import (
 )
 from raagembed.words import (
     Letter,
+    _alphabet,
+    _bits,
+    _decode,
+    _words,
     canonical_words,
     equal,
     format_word,
@@ -120,6 +124,17 @@ def test_relator_preservation():
     )
 
 
+def test_group_map_refuses_images_off_its_graphs():
+    p2 = make_path(2)
+    images = {"x1": word("x1"), "x2": word("x2")}
+    with pytest.raises(ValueError, match="'zz'"):
+        GroupMap(p2, p2, {**images, "zz": word("x1")})
+    with pytest.raises(ValueError, match="no image word for generator 'x2'"):
+        GroupMap(p2, p2, {"x1": word("x1")})
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        GroupMap(p2, p2, {**images, "x2": word("zz")})
+
+
 def test_trimmed_center_image_is_still_a_homomorphism():
     # dropping x3 from the center image leaves all relators intact and no
     # bounded injectivity failure at this scale; nothing flags it
@@ -142,18 +157,24 @@ def test_bounded_injectivity_detects_a_killed_generator():
     assert "x1" in report["violations"]
 
 
-def _reference_words(g, max_len, canonical):
+def _reference_words(g, max_len, canonical, start=frozenset()):
     """The Letter enumerator that the id enumerator replaced, kept so that
     the naive references below share no code with the checks: depth-first
     preorder over the reduced words of length <= max_len, extended in
     letter order; each new letter scans back through the letters
     commuting with it and is rejected if it cancels or, with
-    ``canonical``, if it could shuffle ahead of a larger letter."""
+    ``canonical``, if it could shuffle ahead of a larger letter. A letter
+    in ``start`` is also rejected while no letter of the word has its
+    base or a neighbour of it (the start mask of ``_words``)."""
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
     index = {v: i for i, v in enumerate(g.vertices)}
 
     def blocked(w, base, sign):
         link = g.neighbors(base)
+        if Letter(base, sign) in start and not any(
+            b == base or b in link for b, _ in w
+        ):
+            return True
         for b, s in reversed(w):
             if b == base:
                 if s != sign:
@@ -265,6 +286,24 @@ def test_enumerators_equal_the_reference_in_order():
             assert list(fast(g, max_len)) == expected, (g, canonical)
 
 
+def test_leaf_masks_expand_to_the_reference_under_a_start_mask():
+    # the start mask of enumerate_vertices: every id outside the link of
+    # a base vertex is blocked
+    for g in (make_path(5), make_cycle(5)):
+        a = _alphabet(g)
+        for i, v in enumerate(g.vertices):
+            link = {Letter(u, s) for u in g.neighbors(v) for s in (1, -1)}
+            start = frozenset(a.letters) - link
+            for max_len in range(4):
+                for canonical in (True, False):
+                    walk = []
+                    for w, leaves in _words(g, max_len, canonical, ~a.links[2 * i]):
+                        walk.append(w)
+                        walk += [w + (c,) for c in _bits(leaves)]
+                    expected = _reference_words(g, max_len, canonical, start)
+                    assert [_decode(a, w) for w in walk] == list(expected), (g, v)
+
+
 def _cancelling_cases():
     """Seeded maps whose images cancel heavily (short words over two or
     three codomain letters, some the inverse of another), each with a
@@ -310,22 +349,48 @@ def _shuffled_cases():
         yield GroupMap(dom, cod, images), trigger, required
 
 
+def _leaf_cases():
+    """Two maps on P3 for the leaf level of the walk. In the first, the
+    generator images are unreduced, so their literal and reduced lengths
+    differ, and x1 x3 maps to the identity. In the second, the image of x1
+    cancels x1 by itself, so every word through x1 violates survival of
+    x1, leaves included; x1 x3 cancels x1 across two images, and x2 maps
+    to the identity."""
+    p3 = make_path(3)
+    unreduced = {
+        "x1": parse_word("x1 x2 x2^-1"),
+        "x2": parse_word("x2 x3^-1 x3 x2^-1 x2"),
+        "x3": parse_word("x1^-1 x3 x3^-1"),
+    }
+    cancelled = {
+        "x1": parse_word("x1 x3 x1^-1"),
+        "x2": parse_word("x2 x2^-1"),
+        "x3": parse_word("x3 x1"),
+    }
+    for images in (unreduced, cancelled):
+        yield GroupMap(p3, p3, images), "x1", {"x2"}
+
+
 def test_bounded_checks_match_the_naive_references():
     cases = [
         (kill_generators(P5, {"x1"}), "x1", {"x2"}),
         (kill_generators(make_cycle(5), {"x2", "x4"}), "x3", {"x1", "x5"}),
         *_cancelling_cases(),
         *_shuffled_cases(),
+        *_leaf_cases(),
     ]
-    max_len = 4
-    for m, trigger, required in cases:
-        fast = bounded_injectivity(m, max_len)
-        assert fast == _naive_injectivity(m, max_len)
-        assert fast["violations"]
-        fast = check_support_propagation(m, trigger, required, max_len)
-        assert fast == _naive_support_propagation(m, trigger, required, max_len)
-        for v in m.codomain.vertices:
-            assert check_surviving(m, v, max_len) == _naive_surviving(m, v, max_len)
+    # bound 0 yields only the empty word, bound 1 the empty word as the
+    # parent of every leaf
+    for max_len in range(5):
+        for m, trigger, required in cases:
+            fast = bounded_injectivity(m, max_len)
+            assert fast == _naive_injectivity(m, max_len)
+            assert fast["violations"] or max_len < 4
+            fast = check_support_propagation(m, trigger, required, max_len)
+            assert fast == _naive_support_propagation(m, trigger, required, max_len)
+            for v in m.codomain.vertices:
+                fast = check_surviving(m, v, max_len)
+                assert fast == _naive_surviving(m, v, max_len), (m.images, v, max_len)
 
 
 def test_bounded_checks_reject_bad_input():
