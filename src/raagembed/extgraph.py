@@ -88,6 +88,20 @@ def _vertex_ids(alphabet, v):
     return key, support, reach
 
 
+def _conjugate_key(alphabet, w):
+    """The normal form of the id word w = x^-1 a x, one insertion pass.
+    Raises InvariantViolation unless it keeps all 2|x| + 1 letters, that
+    is, unless w is reduced: the check that every vertex passes."""
+    key = _normal_form_ids(alphabet.stops, w)
+    if len(key) != len(w):
+        k = len(w) >> 1
+        raise InvariantViolation(
+            f"conjugate of {alphabet.letters[w[k]].base!r} by "
+            f"{format_word(_decode(alphabet, w[k + 1:]))!r} failed to canonicalize"
+        )
+    return key
+
+
 def ext_vertex(g, base, w=()):
     """Canonical extension-graph vertex for the conjugate of ``base`` by w.
 
@@ -118,12 +132,7 @@ def ext_vertex(g, base, w=()):
             blocked |= links[c]
     if len(conj) < len(u):
         conj = _normal_form_ids(stops, conj)
-    key = _normal_form_ids(stops, _inverse_ids(conj) + [a] + conj)
-    if len(key) != 2 * len(conj) + 1:
-        raise InvariantViolation(
-            f"conjugate of {base!r} by {format_word(_decode(alphabet, conj))!r} "
-            "failed to canonicalize"
-        )
+    key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
     return ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key))
 
 
@@ -152,23 +161,27 @@ def _bad_ext(name, text):
     raise GraphParseError(f"{name}: cannot parse extension vertex {text!r}")
 
 
-def ext_adjacent(g, u, v, ids=None):
-    """Adjacent iff the two conjugates do not commute.
-
-    ``ids``, when given, is the pair's ``_vertex_ids`` in g: a caller that
-    compares many pairs of the same vertices computes them once per vertex.
-
-    Write u = a^(x) with the shorter conjugator and v = b^(y).
-    Conjugating both by x^-1 turns u into a and v into the reduced word
-    z of x y^-1 b y x^-1, so they commute iff the link of a misses the
-    support of z. When u is a generator, z is v's key, whose support is
-    known. When no vertex of u's support meets or neighbours one of v's,
-    every letter pair commutes and no reduction runs either.
-    """
+def ext_adjacent(g, u, v):
+    """Adjacent iff the two conjugates do not commute: distinct keys, then
+    ``_adjacent_ids`` on the pair's ``_vertex_ids`` in g."""
     if u.key == v.key:
         return False
     alphabet = _alphabet(g)
-    iu, iv = ids or (_vertex_ids(alphabet, u), _vertex_ids(alphabet, v))
+    return _adjacent_ids(alphabet, _vertex_ids(alphabet, u), _vertex_ids(alphabet, v))
+
+
+def _adjacent_ids(alphabet, iu, iv):
+    """Whether two distinct vertices, given as ``_vertex_ids`` triples,
+    do not commute: the one pair routine on ids.
+
+    Write u = a^(x) with the shorter conjugator and v = b^(y); a and x
+    are read off the triple's word x^-1 a x. Conjugating both by x^-1
+    turns u into a and v into the reduced word z of x y^-1 b y x^-1, so
+    they commute iff the link of a misses the support of z. When u is a
+    generator, z is v's word, whose support is known. When no vertex of
+    u's support meets or neighbours one of v's, every letter pair
+    commutes and no reduction runs either.
+    """
     if len(iv[0]) < len(iu[0]):
         iu, iv = iv, iu
     ku, _, reach = iu
@@ -176,8 +189,7 @@ def ext_adjacent(g, u, v, ids=None):
     if not reach & support:
         return False
     k = len(ku) >> 1
-    a = ku[k]
-    link = alphabet.links[a]
+    link = alphabet.links[ku[k]]
     if not k:
         return bool(link & support)
     # x is reduced in the graph that built u, not necessarily in this one,
@@ -190,17 +202,18 @@ def ext_adjacent(g, u, v, ids=None):
     return False
 
 
-def enumerate_vertices(g, radius):
-    """All distinct vertices with conjugator length <= radius, sorted by
-    (radius, base, conjugator).
+def _conjugators(g, radius):
+    """The vertices of conjugator length <= radius as (base index i, id
+    conjugator x) pairs, sorted by (radius, base, conjugator).
 
     ``ext_vertex`` stores as the conjugator of a base a the normal-form
     word x in which every letter lies in the link of a or in the link of
     an earlier letter of x. The canonical walk of ``_words`` yields the
     normal-form words, those of length radius as leaf masks, and started
     with every id outside the link of a blocked it yields exactly these:
-    an appended letter unblocks its own base and link. A stripped conjugator is the unique shortest word of
-    its coset of the centraliser of a, so each word is a distinct vertex.
+    an appended letter unblocks its own base and link. A stripped
+    conjugator is the unique shortest word of its coset of the
+    centraliser of a, so each word is a distinct vertex.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -211,7 +224,46 @@ def enumerate_vertices(g, radius):
             found.append((len(x), i, x))
             found += [(len(x) + 1, i, x + (c,)) for c in _bits(leaves)]
     found.sort()
-    return [ext_vertex(g, g.vertices[i], _decode(alphabet, x)) for _, i, x in found]
+    return [(i, x) for _, i, x in found]
+
+
+def enumerate_vertices(g, radius):
+    """All distinct vertices with conjugator length <= radius, sorted by
+    (radius, base, conjugator), each built by ``ext_vertex``."""
+    alphabet = _alphabet(g)
+    return [
+        ext_vertex(g, g.vertices[i], _decode(alphabet, x))
+        for i, x in _conjugators(g, radius)
+    ]
+
+
+def _pool(g, radius):
+    """The vertices of ``enumerate_vertices`` as id records, in its
+    order: (base index i, id conjugator x, id key, ``_vertex_ids``
+    triple), the triple's word being x^-1 a x. Every key passes
+    ``_conjugate_key``'s check, so x^-1 a x is reduced and its support
+    is {a} with the letters of x."""
+    alphabet = _alphabet(g)
+    stops = alphabet.stops
+    pool = []
+    for i, x in _conjugators(g, radius):
+        a = 2 * i
+        w = _inverse_ids(x) + [a, *x]
+        key = _conjugate_key(alphabet, w)
+        # The loop of ``_vertex_ids``, on a word known to be reduced; a
+        # shared helper would cost ``ext_adjacent`` two calls per pair.
+        support, reach = 3 << a, stops[a]
+        for c in x:
+            support |= 3 << (c & ~1)
+            reach |= stops[c]
+        pool.append((i, x, key, (tuple(w), support, reach)))
+    return pool
+
+
+def _decode_vertex(g, alphabet, record):
+    """The ``ExtVertex`` of a ``_pool`` record."""
+    i, x, key, _ = record
+    return ExtVertex(g.vertices[i], _decode(alphabet, x), _decode(alphabet, key))
 
 
 @dataclass(frozen=True)
@@ -241,7 +293,7 @@ def _ext_edges(g, vertices):
     return frozenset(
         (i, j)
         for i, j in combinations(range(len(vertices)), 2)
-        if ext_adjacent(g, vertices[i], vertices[j], (ids[i], ids[j]))
+        if _adjacent_ids(alphabet, ids[i], ids[j])
     )
 
 
@@ -317,12 +369,12 @@ def search_induced_embedding_ext(pattern, g, radius):
     anchored witness within the radius. It does not mean that no witness
     of conjugator length <= radius exists, nor that no embedding exists.
     """
-    pool = enumerate_vertices(g, radius)
+    alphabet = _alphabet(g)
+    pool = _pool(g, radius)
     anchor_set = set(lex_first_max_independent_set(pattern))
     anchor_order = [v for v in pattern.vertices if v in anchor_set]
     rest = [v for v in pattern.vertices if v not in anchor_set]
-    alphabet = _alphabet(g)
-    ids = [_vertex_ids(alphabet, v) for v in pool]
+    ids = [r[3] for r in pool]
     # Per pool vertex, the mask of the pool vertices whose adjacency to it
     # is known, and the mask of those adjacent to it. A pair is evaluated
     # once and written into both rows.
@@ -333,14 +385,14 @@ def search_induced_embedding_ext(pattern, g, radius):
         """The pool vertices in ``mask`` adjacent to pool[d]."""
         todo = mask & ~known[d]
         if todo:
-            vd, idd, bit = pool[d], ids[d], 1 << d
+            idd, bit = ids[d], 1 << d
             known[d] |= todo
             while todo:
                 low = todo & -todo
                 todo ^= low
                 c = low.bit_length() - 1
                 known[c] |= bit
-                if ext_adjacent(g, pool[c], vd, (ids[c], idd)):
+                if _adjacent_ids(alphabet, ids[c], idd):
                     adj[d] |= low
                     adj[c] |= bit
         return adj[d] & mask
@@ -365,7 +417,15 @@ def search_induced_embedding_ext(pattern, g, radius):
         found = next(induced_maps(pattern.adjacent, order, domains, row), None)
         if found is not None:
             amap.update(found)
-            return {pv: pool[i] for pv, i in amap.items()}
+            witness = {pv: _decode_vertex(g, alphabet, pool[i]) for pv, i in amap.items()}
+            # Only the witness is decoded, so check the decoded vertices
+            # against the pattern through the public pair test.
+            for p, q in combinations(pattern.vertices, 2):
+                if ext_adjacent(g, witness[p], witness[q]) != pattern.adjacent(p, q):
+                    raise InvariantViolation(
+                        f"decoded witness disagrees with the pattern on {p!r}-{q!r}"
+                    )
+            return witness
     return None
 
 

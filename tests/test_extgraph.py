@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from raagembed import extgraph
-from raagembed.errors import GraphParseError
+from raagembed.errors import GraphParseError, InvariantViolation
 from raagembed.extgraph import (
     ExtVertex,
     enumerate_vertices,
@@ -29,6 +29,7 @@ from raagembed.graphs import (
 )
 from raagembed.words import (
     Letter,
+    _alphabet,
     canonical_words,
     commutator,
     equal,
@@ -489,6 +490,33 @@ def test_enumerate_vertices_matches_the_reference(g, radius):
     ]
 
 
+@pytest.mark.parametrize(
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _enumeration_cases()],
+)
+def test_pool_records_match_the_vertex_route(g, radius):
+    alphabet = _alphabet(g)
+    for record in extgraph._pool(g, radius):
+        v = extgraph._decode_vertex(g, alphabet, record)
+        assert record[3] == extgraph._vertex_ids(alphabet, v), v
+        rebuilt = ext_vertex(g, v.base, v.conjugator)
+        assert (rebuilt.key, rebuilt.conjugator) == (v.key, v.conjugator), v
+
+
+def test_pool_supports_are_intervals_holding_the_base():
+    for n in range(3, 9):
+        g = make_path(n)
+        alphabet = _alphabet(g)
+        for record in extgraph._pool(g, 3):
+            v = extgraph._decode_vertex(g, alphabet, record)
+            got = support(g, v.key)
+            where = sorted(g.index(u) for u in got)
+            assert where == list(range(where[0], where[-1] + 1)), v
+            assert v.base in got, v
+            mask = record[3][1]
+            assert got == {g.vertices[c >> 1] for c in range(2 * n) if mask >> c & 1}, v
+
+
 def test_search_identity_witness():
     found = search_induced_embedding_ext(P5, P5, 0)
     assert found is not None
@@ -539,17 +567,37 @@ def test_search_returns_none_for_the_tripod_at_small_radius():
 )
 def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found):
     pairs = []
+    adjacent_ids = extgraph._adjacent_ids
 
-    def counting(g, u, v, ids=None):
-        pairs.append(frozenset((u.key, v.key)))
-        return ext_adjacent(g, u, v, ids)
+    def counting(alphabet, iu, iv):
+        pairs.append(frozenset((iu[0], iv[0])))
+        return adjacent_ids(alphabet, iu, iv)
 
-    monkeypatch.setattr(extgraph, "ext_adjacent", counting)
+    monkeypatch.setattr(extgraph, "_adjacent_ids", counting)
     witness = search_induced_embedding_ext(pattern, make_path(n), 2)
     assert (witness is not None) == found
-    assert len(pairs) > 100
-    assert len(set(pairs)) == len(pairs)
+    # A found witness is checked last, one evaluation per pattern pair,
+    # on pairs the search has evaluated already.
+    checked = len(pattern) * (len(pattern) - 1) // 2 if found else 0
+    searched, rechecked = pairs[: len(pairs) - checked], pairs[len(pairs) - checked :]
+    assert len(searched) > 100
+    assert len(set(searched)) == len(searched)
+    assert set(rechecked) <= set(searched)
 
+
+
+def test_search_checks_the_witness_it_decodes(monkeypatch):
+    decode = extgraph._decode_vertex
+
+    def drops_the_conjugator(g, alphabet, record):
+        return ext_vertex(g, decode(g, alphabet, record).base)
+
+    monkeypatch.setattr(extgraph, "_decode_vertex", drops_the_conjugator)
+    hairy = SimplicialGraph(
+        "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("c", "f")]
+    )
+    with pytest.raises(InvariantViolation, match="decoded witness disagrees"):
+        search_induced_embedding_ext(hairy, make_path(8), 2)
 
 def _reference_search(pattern, g, radius):
     """Slow reference for the anchored search: every injective choice of
