@@ -143,7 +143,7 @@ def criterion_4():
     for w in reduced_words(g, 4):
         sup_w = None
         for b in g.vertices:
-            conj = conjugate_word(g, Letter(b, 1), w)
+            conj = conjugate_word(Letter(b, 1), w)
             if len(reduce(g, conj)) != len(conj):
                 continue
             reduced_conjugates += 1

@@ -45,7 +45,12 @@ from .words import (
 
 
 def _load(config, path):
-    g = load_graph(path)
+    """The graph file at ``path`` in the internal convention; an unreadable
+    file is unusable input, and the message of ``open`` names the path."""
+    try:
+        g = load_graph(path)
+    except OSError as exc:
+        raise GraphParseError(str(exc)) from None
     return complement(g) if config.convention == "raag" else g
 
 
@@ -70,44 +75,39 @@ def _word_arg(config, g):
     return parse_word(" ".join(config.tokens), g)
 
 
-def _cmd_reduce(config):
-    g = _load(config, config.graph)
+def _cmd_reduce(config, g):
     w = _word_arg(config, g)
     r = reduce(g, w)
     print(format_word(r) if r else "(identity)")
     return {"input": format_word(w), "reduced": format_word(r), "length": len(r)}, 0
 
 
-def _cmd_nf(config):
-    g = _load(config, config.graph)
+def _cmd_nf(config, g):
     w = _word_arg(config, g)
     nf = normal_form(g, w)
     print(format_word(nf) if nf else "(identity)")
     return {"input": format_word(w), "normal_form": format_word(nf)}, 0
 
 
-def _cmd_support(config):
-    g = _load(config, config.graph)
+def _cmd_support(config, g):
     w = _word_arg(config, g)
     sup = sorted(support(g, w), key=g.index)
     print(" ".join(sup) if sup else "(empty)")
     return {"input": format_word(w), "support": sup}, 0
 
 
-def _cmd_commute(config):
-    g = _load(config, config.graph)
+def _cmd_commute(config, g):
     u, w = _split_words(config.tokens, g, expected=2)
     ans = commute_elements(g, u, w)
     print("commute" if ans else "do not commute")
     return {"left": format_word(u), "right": format_word(w), "commute": ans}, 0
 
 
-def _cmd_comm(config):
-    g = _load(config, config.graph)
+def _cmd_comm(config, g):
     args = _split_words(config.tokens, g)
     if len(args) < 2:
         raise GraphParseError("comm: needs at least two ';'-separated words")
-    bracket = iterated_commutator(g, args)
+    bracket = iterated_commutator(args)
     nf = normal_form(g, bracket)
     trivial = not nf
     print(format_word(nf) if nf else "(identity)")
@@ -118,8 +118,7 @@ def _cmd_comm(config):
     }, 0
 
 
-def _cmd_ext_adjacent(config):
-    g = _load(config, config.graph)
+def _cmd_ext_adjacent(config, g):
     if len(config.tokens) != 2:
         raise GraphParseError("ext-adjacent: needs exactly two vertices")
     u = parse_ext_vertex(config.tokens[0], g)
@@ -133,8 +132,7 @@ def _cmd_ext_adjacent(config):
     }, 0
 
 
-def _cmd_ext_enumerate(config):
-    g = _load(config, config.graph)
+def _cmd_ext_enumerate(config, g):
     vs = enumerate_vertices(g, config.radius)
     print(f"{len(vs)} vertices within radius {config.radius}")
     for v in vs:
@@ -146,8 +144,7 @@ def _cmd_ext_enumerate(config):
     }, 0
 
 
-def _cmd_ext_induced(config):
-    g = _load(config, config.graph)
+def _cmd_ext_induced(config, g):
     S = [parse_ext_vertex(t, g) for t in config.tokens]
     if not S:
         raise GraphParseError("ext-induced: needs at least one vertex")
@@ -159,8 +156,7 @@ def _cmd_ext_induced(config):
     return {"vertices": texts, "image": graph_to_json(view.graph)}, 0
 
 
-def _cmd_embed_search(config):
-    g = _load(config, config.graph)
+def _cmd_embed_search(config, g):
     pattern = _load(config, config.pattern)
     witness = search_induced_embedding_ext(pattern, g, config.radius)
     if witness is None:
@@ -180,8 +176,7 @@ def _cmd_embed_search(config):
     }, 0
 
 
-def _cmd_push_to_base(config):
-    g = _load(config, config.graph)
+def _cmd_push_to_base(config, g):
     items = [parse_ext_vertex(t, g) for t in config.tokens]
     if not items:
         raise GraphParseError("push-to-base: needs at least one vertex")
@@ -195,8 +190,7 @@ def _cmd_push_to_base(config):
     }, 0
 
 
-def _cmd_move_deg1k(config):
-    g = _load(config, config.graph)
+def _cmd_move_deg1k(config, g):
     move = move_deg1k(g, config.vertex)
     print(f"replaced {config.vertex} (k={move.k}); new graph:")
     print(format_graph(move.new_graph), end="")
@@ -208,8 +202,7 @@ def _cmd_move_deg1k(config):
     return report, 0
 
 
-def _cmd_move_deg3(config):
-    g = _load(config, config.graph)
+def _cmd_move_deg3(config, g):
     move = move_deg3(g, config.vertex)
     print(f"replaced the tripod at {config.vertex}; new graph:")
     print(format_graph(move.new_graph), end="")
@@ -234,8 +227,7 @@ def _cmd_pipeline_t2(config):
     return pipe.to_json(), 0 if ok else 1
 
 
-def _cmd_hairy(config):
-    g = _load(config, config.graph)
+def _cmd_hairy(config, g):
     if not is_tree(g):
         raise GraphParseError("hairy: input graph is not a tree")
     try:
@@ -258,8 +250,7 @@ def _cmd_hairy(config):
     return report, 0
 
 
-def _cmd_obstruct(config):
-    g = _load(config, config.graph)
+def _cmd_obstruct(config, g):
     cert = certify_non_embeddability(g)
     if cert is None:
         print("no obstruction tuple found")
@@ -421,10 +412,11 @@ class _Stdout:
 
 
 def run(argv=None):
-    """Parse the arguments, execute one command and return the process
-    exit status; a usage error returns 2 instead of exiting. When the
-    reader closes standard output, the command still runs to the end and
-    writes its ``--out`` report, and then BrokenPipeError is raised."""
+    """Parse the arguments, load the command's ``--graph`` if it takes one,
+    execute the command and return the process exit status; a usage error
+    returns 2 instead of exiting. When the reader closes standard output,
+    the command still runs to the end and writes its ``--out`` report, and
+    then BrokenPipeError is raised."""
     try:
         config = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -432,8 +424,9 @@ def run(argv=None):
     stdout = _Stdout(sys.stdout)
     try:
         with contextlib.redirect_stdout(stdout):
-            report, status = config.handler(config)
-    except (ValueError, FileNotFoundError) as exc:
+            graphs = (_load(config, config.graph),) if "graph" in config else ()
+            report, status = config.handler(config, *graphs)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

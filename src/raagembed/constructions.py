@@ -82,6 +82,24 @@ class MoveResult:
         return out
 
 
+def _leaf_split(g, v):
+    """The neighbors of v in index order, split into the degree-one ones
+    and the rest."""
+    nbrs = sorted(g.neighbors(v), key=g.index)
+    return [u for u in nbrs if g.degree(u) == 1], [u for u in nbrs if g.degree(u) != 1]
+
+
+def _block_witness(path, v, leaves, block):
+    """Images of v and its k leaves when v expands into ``block``, 2k+1
+    consecutive vertices of ``path``: v goes to the first block vertex
+    conjugated by the rest of the block and its j-th leaf to the 2j-th
+    block vertex. A leafless v is a block of one and goes to itself."""
+    out = {v: ext_vertex(path, block[0], word(*block[1:]))}
+    for j, leaf in enumerate(leaves, start=1):
+        out[leaf] = ext_vertex(path, block[2 * j - 1])
+    return out
+
+
 def move_deg1k(g, x):
     """Delete the k degree-one neighbors of a degree-(k+2) vertex x and
     replace x itself by a path of 2k+1 vertices between its two other
@@ -94,12 +112,10 @@ def move_deg1k(g, x):
     """
     if x not in g:
         raise ValueError(f"unknown vertex {x!r}")
-    nbrs = sorted(g.neighbors(x), key=g.index)
-    k = len(nbrs) - 2
+    leaves, others = _leaf_split(g, x)
+    k = len(leaves) + len(others) - 2
     if k < 1:
-        raise ValueError(f"vertex {x!r} has degree {len(nbrs)}, need at least 3")
-    leaves = [v for v in nbrs if g.degree(v) == 1]
-    others = [v for v in nbrs if g.degree(v) != 1]
+        raise ValueError(f"vertex {x!r} has degree {k + 2}, need at least 3")
     if len(leaves) != k or len(others) != 2:
         raise ValueError(
             f"vertex {x!r} needs exactly {k} degree-one neighbors and two others;"
@@ -107,34 +123,24 @@ def move_deg1k(g, x):
         )
     b, c = others
 
-    used = {v for v in g.vertices if v != x and v not in leaves}
-    path_labels = []
+    dropped = {x, *leaves}
+    used = {v for v in g.vertices if v not in dropped}
+    path_labels = [_freshen(f"x{i}", used) for i in range(1, 2 * k + 2)]
     new_vertices = []
     for v in g.vertices:
-        if v in leaves:
-            continue
         if v == x:
-            for i in range(1, 2 * k + 2):
-                lbl = _freshen(f"x{i}", used)
-                path_labels.append(lbl)
-                new_vertices.append(lbl)
-        else:
+            new_vertices += path_labels
+        elif v not in dropped:
             new_vertices.append(v)
-    dropped = set(leaves) | {x}
     edges = [(u, v) for u, v in g.edges if u not in dropped and v not in dropped]
     edges += [(path_labels[i], path_labels[i + 1]) for i in range(2 * k)]
     edges += [(b, path_labels[0]), (path_labels[-1], c)]
     new_graph = SimplicialGraph(new_vertices, edges)
 
-    conj = word(*path_labels[1:])
-    witness = {}
-    for v in g.vertices:
-        if v == x:
-            witness[v] = ext_vertex(new_graph, path_labels[0], conj)
-        elif v in leaves:
-            witness[v] = ext_vertex(new_graph, path_labels[2 * (leaves.index(v) + 1) - 1])
-        else:
-            witness[v] = ext_vertex(new_graph, v)
+    block = _block_witness(new_graph, x, leaves, path_labels)
+    witness = {
+        v: block[v] if v in block else ext_vertex(new_graph, v) for v in g.vertices
+    }
 
     if not verify_witness(g, new_graph, witness):
         raise InvariantViolation("replacement witness does not induce the old graph")
@@ -265,11 +271,8 @@ def t2_graph():
 
 def _deg1k_candidate(g):
     for v in g.vertices:
-        nbrs = g.neighbors(v)
-        if len(nbrs) < 3:
-            continue
-        leaves = [u for u in nbrs if g.degree(u) == 1]
-        if len(leaves) == len(nbrs) - 2:
+        leaves, others = _leaf_split(g, v)
+        if leaves and len(others) == 2:
             return v
     return None
 
@@ -386,34 +389,22 @@ def hairy_witness(t):
             "tree is not a hairy path graph: it contains an induced tripod "
             "with all legs of length two; see certify_non_embeddability"
         )
-    kept = [v for v in dec.spine if v not in dec.hairs]
-    used = set(kept)
+    used = {v for v in dec.spine if v not in dec.hairs}
     blocks = {}
-    path_vertices = []
     for v in dec.spine:
         hs = dec.hairs.get(v, ())
-        if not hs:
-            blocks[v] = [v]
-            path_vertices.append(v)
-        else:
-            block = [_freshen(f"{v}{i}", used) for i in range(1, 2 * len(hs) + 2)]
-            blocks[v] = block
-            path_vertices.extend(block)
+        blocks[v] = (
+            [_freshen(f"{v}{i}", used) for i in range(1, 2 * len(hs) + 2)] if hs else [v]
+        )
+    path_vertices = [u for block in blocks.values() for u in block]
     n = len(path_vertices)
     path = SimplicialGraph(
         path_vertices,
         [(path_vertices[i], path_vertices[i + 1]) for i in range(n - 1)],
     )
     assignment = {}
-    for v in dec.spine:
-        block = blocks[v]
-        hs = dec.hairs.get(v, ())
-        if not hs:
-            assignment[v] = ext_vertex(path, v)
-        else:
-            assignment[v] = ext_vertex(path, block[0], word(*block[1:]))
-            for j, hair in enumerate(hs, start=1):
-                assignment[hair] = ext_vertex(path, block[2 * j - 1])
+    for v, block in blocks.items():
+        assignment.update(_block_witness(path, v, dec.hairs.get(v, ()), block))
 
     if not verify_witness(t, path, assignment):
         raise InvariantViolation("hairy witness does not induce the tree")
@@ -495,12 +486,10 @@ def counterexample_check():
     single-generator versions vanish, so the product cannot split into a
     product of conjugates of those brackets."""
     g = make_path(5)
-    main = iterated_commutator(
-        g, [word("x2", "x4"), word("x3"), word("x1"), word("x5")]
-    )
+    main = iterated_commutator([word("x2", "x4"), word("x3"), word("x1"), word("x5")])
     reduced_main = normal_form(g, main)
-    first = iterated_commutator(g, [word("x2"), word("x3"), word("x1"), word("x5")])
-    second = iterated_commutator(g, [word("x4"), word("x3"), word("x1"), word("x5")])
+    first = iterated_commutator([word("x2"), word("x3"), word("x1"), word("x5")])
+    second = iterated_commutator([word("x4"), word("x3"), word("x1"), word("x5")])
     report = {
         "main_nontrivial": len(reduced_main) > 0,
         "main_reduced_word": format_word(reduced_main),

@@ -251,7 +251,9 @@ def _pool(g, radius):
         w = _inverse_ids(x) + [a, *x]
         key = _conjugate_key(alphabet, w)
         # The loop of ``_vertex_ids``, on a word known to be reduced; a
-        # shared helper would cost ``ext_adjacent`` two calls per pair.
+        # shared helper would cost ``ext_adjacent`` two calls per pair,
+        # and its one call per pool vertex here put the ``ext_search``
+        # benchmark's ``latency_tail_ms`` up 4% in paired runs.
         support, reach = 3 << a, stops[a]
         for c in x:
             support |= 3 << (c & ~1)

@@ -81,24 +81,24 @@ def support(g, w):
     return frozenset([vertices[c >> 1] for c in _reduced_ids(a.stops, _encode(a, w))])
 
 
-def conjugate_word(g, b, w):
+def conjugate_word(b, w):
     """Formal word for the conjugate w^-1 b w of a letter b."""
     return inverse(w) + (b,) + w
 
 
-def commutator(g, u, w):
+def commutator(u, w):
     """Formal word for u^-1 w^-1 u w."""
     return inverse(u) + inverse(w) + u + w
 
 
-def iterated_commutator(g, items):
+def iterated_commutator(items):
     """Left-normed commutator [[..[g1,g2],g3..],gk] as a formal word."""
     items = list(items)
     if not items:
         raise ValueError("need at least one word")
     acc = items[0]
     for nxt in items[1:]:
-        acc = commutator(g, acc, nxt)
+        acc = commutator(acc, nxt)
     return acc
 
 

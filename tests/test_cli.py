@@ -273,6 +273,15 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     p5 = tmp_path / "p5.graph"
     p5.write_text(format_graph(make_path(5)))
     assert run(["reduce", "--graph", str(p5), "x9"]) == 2
+    capsys.readouterr()
+    # a directory is no graph file, as --graph or as --pattern
+    for argv in (
+        ["ext-enumerate", "--graph", str(tmp_path), "--radius", "0"],
+        ["embed-search", "--graph", str(p5), "--pattern", str(tmp_path)],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"Is a directory: {str(tmp_path)!r}" in captured.err
     assert run(["nf", "x1"]) == 2  # no graph given
 
 

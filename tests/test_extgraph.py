@@ -156,7 +156,7 @@ def _reference_ext_adjacent(g, u, v):
     """Slow reference for ext_adjacent on the Letter route: distinct keys
     whose commutator the reference reduction does not empty, with no
     support short cut."""
-    return u.key != v.key and bool(_reference_reduce(g, commutator(g, u.key, v.key)))
+    return u.key != v.key and bool(_reference_reduce(g, commutator(u.key, v.key)))
 
 
 def _assert_adjacency_matches(g, pairs):
