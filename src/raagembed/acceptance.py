@@ -435,10 +435,11 @@ CRITERIA = {
 def run_all(ids=None, seed=0, progress=None):
     """Run the selected criteria (all by default) and return their reports."""
     chosen = sorted(CRITERIA) if not ids else sorted(set(ids))
-    reports = []
     for cid in chosen:
         if cid not in CRITERIA:
             raise ValueError(f"unknown criterion {cid}")
+    reports = []
+    for cid in chosen:
         fn = CRITERIA[cid]
         start = time.time()
         report = fn(seed=seed) if cid == 11 else fn()

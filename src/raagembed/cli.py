@@ -302,6 +302,8 @@ def _out_path(text):
     """argparse type for --out: the report is written only after the
     command has run, so a missing directory, or a path that is itself a
     directory, must fail before it."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"no such directory: {directory!r}")

@@ -54,13 +54,15 @@ class MoveResult:
     kind: str
     vertex: str
     k: int
-    old_graph: SimplicialGraph
-    new_graph: SimplicialGraph
-    group_map: GroupMap
+    group_map: GroupMap  # old graph's group -> new graph's group
     new_labels: tuple = ()  # labels created by the move, in path/hexagon order
     ext_witness: dict = None  # deg1k: old vertex -> ExtVertex over new graph
     hom: GraphHom = None  # deg3: new graph -> old graph
     renaming: dict = None  # deg3: old vertex -> new label
+
+    @property
+    def new_graph(self):
+        return self.group_map.codomain
 
     def to_json(self):
         out = {
@@ -69,13 +71,12 @@ class MoveResult:
             "k": self.k,
             "new_graph": graph_to_json(self.new_graph),
         }
-        if self.ext_witness is not None:
+        if self.kind == "deg1k":
             out["witness"] = {
                 v: format_ext_vertex(e) for v, e in self.ext_witness.items()
             }
-        if self.renaming is not None:
+        else:
             out["renaming"] = dict(self.renaming)
-        if self.kind == "deg3":
             out["generator_images"] = {
                 v: format_word(w) for v, w in self.group_map.images.items()
             }
@@ -152,8 +153,6 @@ def move_deg1k(g, x):
         kind="deg1k",
         vertex=x,
         k=k,
-        old_graph=g,
-        new_graph=new_graph,
         group_map=group_map,
         new_labels=tuple(path_labels),
         ext_witness=witness,
@@ -212,8 +211,6 @@ def move_deg3(g, x):
         kind="deg3",
         vertex=x,
         k=3,
-        old_graph=g,
-        new_graph=new_graph,
         group_map=ind,
         new_labels=(x1, x2, x3),
         hom=hom,
@@ -231,7 +228,7 @@ def deg3_claim_reports(move, length=5):
     """
     if move.kind != "deg3":
         raise ValueError("need a hexagon move result")
-    g1 = move.old_graph
+    g1 = move.group_map.domain
     g2 = move.new_graph
     x = move.vertex
     a = min(g1.neighbors(x), key=g1.index)

@@ -321,9 +321,10 @@ def push_to_base(g, items):
             f"{format_ext_vertex(items[j])} do not commute"
         )
     total = ()
-    current = list(items)
     placed = []
-    for k, v in enumerate(current):
+    for item in items:
+        # item conjugated by every step so far depends only on their product
+        v = ext_vertex(g, item.base, item.conjugator + inverse(total))
         w = v.conjugator
         if w:
             for b in placed:
@@ -335,10 +336,6 @@ def push_to_base(g, items):
                 raise InvariantViolation(
                     f"conjugation by {format_word(w)} missed the base of "
                     f"{format_ext_vertex(v)}"
-                )
-            for j in range(k + 1, len(current)):
-                current[j] = ext_vertex(
-                    g, current[j].base, current[j].conjugator + inverse(w)
                 )
             total = w + total
         placed.append(v.base)

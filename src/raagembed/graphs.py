@@ -427,9 +427,13 @@ def _tree_code(k, edges):
 # Text and JSON formats
 
 
+def _ordered_edges(g):
+    return sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1])))
+
+
 def format_graph(g):
     lines = ["vertices: " + " ".join(g.vertices)]
-    for u, v in sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1]))):
+    for u, v in _ordered_edges(g):
         lines.append(f"edge: {u} {v}")
     return "\n".join(lines) + "\n"
 
@@ -437,10 +441,7 @@ def format_graph(g):
 def graph_to_json(g):
     return {
         "vertices": list(g.vertices),
-        "edges": [
-            [u, v]
-            for u, v in sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1])))
-        ],
+        "edges": [[u, v] for u, v in _ordered_edges(g)],
     }
 
 
@@ -502,4 +503,10 @@ def _read_graph(vertices, edges, name):
 
 def load_graph(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), name=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return parse_graph(text, name=str(path))

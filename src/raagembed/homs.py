@@ -137,11 +137,6 @@ def check_relator_preservation(m):
     )
 
 
-def _check_bound(max_len):
-    if max_len < 0:
-        raise ValueError(f"negative bound {max_len}")
-
-
 def _image_codes(m):
     """The codomain letter ids of the image of each domain letter id."""
     ids = _alphabet(m.codomain).ids
@@ -191,7 +186,6 @@ def bounded_injectivity(m, max_len):
     w c is trivial only if those two lengths are equal. The length is
     that of the reduced image, since images (of ``compose``, say) need
     not be reduced."""
-    _check_bound(max_len)
     stops = _alphabet(m.codomain).stops
     codes = _image_codes(m)
     by_len = {}
@@ -230,7 +224,6 @@ def check_surviving(m, v_prime, max_len):
     """
     if v_prime not in m.codomain:
         raise ValueError(f"unknown vertex {v_prime!r}")
-    _check_bound(max_len)
     p = 2 * m.codomain.index(v_prime)
     stop = _alphabet(m.codomain).stops[p]
     codes = _image_codes(m)
@@ -283,7 +276,6 @@ def check_support_propagation(m, trigger, required, max_len):
     for v in required:
         if v not in m.codomain:
             raise ValueError(f"unknown required vertex {v!r}")
-    _check_bound(max_len)
     stops = _alphabet(m.codomain).stops
     codes = _image_codes(m)
     t = 2 * m.domain.index(trigger)

@@ -266,6 +266,8 @@ def _words(g, max_len, canonical, blocked=0):
     bits of every lower-indexed vertex commuting with c, whose letters
     could shuffle ahead of c.
     """
+    if max_len < 0:
+        raise ValueError(f"negative bound {max_len}")
     if max_len == 0:
         yield (), 0
         return

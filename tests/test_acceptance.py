@@ -81,3 +81,8 @@ def test_run_all_respects_selection():
     assert all(r["passed"] for r in reports)
     with pytest.raises(ValueError):
         acceptance.run_all(ids=[99])
+    # an unknown id is refused before any criterion runs
+    seen = []
+    with pytest.raises(ValueError, match="unknown criterion 99"):
+        acceptance.run_all(ids=[1, 99], progress=seen.append)
+    assert seen == []

@@ -232,6 +232,10 @@ def test_verify_all_subset(capsys, tmp_path):
     assert "PASS  #1" in out and "PASS  #5" in out
     data = json.loads(out_file.read_text())
     assert data["passed"] is True and len(data["criteria"]) == 2
+    # an unknown id is refused before criterion 1 runs
+    assert run(["verify-all", "1", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown criterion 99" in captured.err
 
 
 def test_convention_flag_matches_manual_complement(capsys, tmp_path):
@@ -258,15 +262,17 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "bad.graph:2" in err
     # a JSON string is not a list of labels or a pair of them, a label is
-    # a string, and one that words cannot write is refused
+    # a string, one that words cannot write is refused, and so is a file
+    # that is not UTF-8
     for text in (
-        '{"vertices": "xy"}',
-        '{"vertices": ["x", "y"], "edges": ["xy"]}',
-        '{"vertices": ["x", "y"], "edges": [["x", ["y"]]]}',
-        '{"vertices": ["a b", "c"]}',
-        '{"vertices": ["c", "d^-1"]}',
+        b'{"vertices": "xy"}',
+        b'{"vertices": ["x", "y"], "edges": ["xy"]}',
+        b'{"vertices": ["x", "y"], "edges": [["x", ["y"]]]}',
+        b'{"vertices": ["a b", "c"]}',
+        b'{"vertices": ["c", "d^-1"]}',
+        b"vertices: a\xff b\n",
     ):
-        bad.write_text(text)
+        bad.write_bytes(text)
         assert run(["ext-enumerate", "--graph", str(bad), "--radius", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "bad.graph" in captured.err
@@ -308,6 +314,8 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ["obstruct"],
         ["embed-search", "--graph", "X"],
         ["move-deg3", "--graph", "X"],
+        # an empty --out path
+        ["counterexample", "--out", ""],
     ],
 )
 def test_rejected_flags_exit_2(capsys, argv):

@@ -398,6 +398,20 @@ def test_push_to_base_example_over_p6():
         assert equal(P6, lhs, word(b))
 
 
+def test_push_to_base_moves_later_items_with_each_step():
+    items = [
+        ext_vertex(P6, "x1", word("x2", "x1")),
+        ext_vertex(P6, "x3", word("x2", "x1")),
+        ext_vertex(P6, "x5", word("x6", "x5")),
+    ]
+    w, bases = push_to_base(P6, items)
+    assert format_word(w) == "x2 x1 x6 x5"
+    assert bases == ["x1", "x3", "x5"]
+    w, bases = push_to_base(P6, [items[1], items[0], items[2]])
+    assert format_word(w) == "x2 x1 x6 x5"
+    assert bases == ["x3", "x1", "x5"]
+
+
 def test_push_to_base_rejects_repeated_vertices():
     with pytest.raises(ValueError, match="duplicate"):
         push_to_base(P5, [ext_vertex(P5, "x1"), ext_vertex(P5, "x1")])

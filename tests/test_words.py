@@ -466,6 +466,13 @@ def test_enumerators_yield_depth_first_in_letter_order():
         assert listed == sorted(listed, key=lambda w: [rank[lt] for lt in w])
 
 
+def test_enumerators_refuse_a_negative_bound():
+    # next, not list: a walk without the check never stops
+    for words_of in (canonical_words, reduced_words):
+        with pytest.raises(ValueError, match="negative"):
+            next(words_of(P5, -1))
+
+
 def test_reduced_words_cover_all_reduced_representatives():
     listed = set(reduced_words(P4, 3))
     for combo in all_words(P4, 3):
