@@ -290,8 +290,9 @@ def theorem_b_variants():
 def criterion_9():
     """Non-embeddability: certificates for the tripod and its three
     variants, and searches that find no anchored witness for the tripod
-    within radius 3 in the extension graphs of the paths with n = 5..8
+    within radius 4 in the extension graphs of the paths with n = 5..8
     (see ``search_induced_embedding_ext`` for what anchored means)."""
+    radius = 4
     t2 = t2_graph()
     graphs = [("tripod", t2)] + [
         (f"variant {i}", g) for i, g in enumerate(theorem_b_variants(), start=1)
@@ -306,14 +307,18 @@ def criterion_9():
     searches = {}
     search_ok = True
     for n in (5, 6, 7, 8):
-        witness = search_induced_embedding_ext(t2, make_path(n), 3)
+        witness = search_induced_embedding_ext(t2, make_path(n), radius)
         searches[n] = None if witness is None else "witness found"
         search_ok = search_ok and witness is None
     return {
         "id": 9,
-        "name": "obstruction certificates; no anchored witness within radius 3",
+        "name": f"obstruction certificates; no anchored witness within radius {radius}",
         "passed": cert_ok and search_ok,
-        "details": {"certificates": cert_details, "searches": searches},
+        "details": {
+            "certificates": cert_details,
+            "searches": searches,
+            "radius": radius,
+        },
     }
 
 

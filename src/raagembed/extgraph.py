@@ -356,6 +356,80 @@ def lex_first_max_independent_set(g):
     return ()
 
 
+def _pool_rows(g, pool):
+    """The adjacency rows of a ``_pool`` of g: returns ``row(d, mask)``,
+    the mask of the pool vertices in ``mask`` adjacent to pool[d].
+
+    A record's support is its base with the letters of its conjugator
+    (``_pool`` keeps only reduced x^-1 a x). Two vertices whose supports
+    neither meet nor neighbour commute, and a generator is adjacent to a
+    vertex exactly when it neighbours that vertex's support: the two
+    facts ``_adjacent_ids`` answers first. So one pass over the records
+    builds, per vertex b of g, the mask of the pool vertices whose support
+    holds b. The pool starts with the generators in vertex order, so a
+    generator's pool index is its vertex index: a generator's row is the
+    OR of those masks over its link, and the generator part of another
+    vertex's row is the mask of the vertices that neighbour its support.
+    Only the non-generators in the OR of the masks over its support and
+    those neighbours go through ``_adjacent_ids``, when a row asks for
+    them, each pair once, written into both rows.
+    """
+    alphabet = _alphabet(g)
+    n = len(g)
+    nbrs = [sum(1 << g.index(u) for u in g.neighbors(v)) for v in g.vertices]
+    # The bits are set in byte arrays, so that the pass is linear in the pool.
+    holders = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
+    for d, (i, x, _, _) in enumerate(pool):
+        byte, bit = d >> 3, 1 << (d & 7)
+        holders[i][byte] |= bit
+        for c in x:
+            holders[c >> 1][byte] |= bit
+    by_vertex = [int.from_bytes(h, "little") for h in holders]
+    ids = [r[3] for r in pool]
+    others = ~((1 << n) - 1)
+    # Per pool vertex: the mask of those adjacent to it found so far, the
+    # non-generators that the pair routine may find adjacent to it (None
+    # until its row is first asked for), and those whose pair with it has
+    # been evaluated.
+    adj = [0] * len(pool)
+    maybe = [None] * len(pool)
+    known = [0] * len(pool)
+
+    def row(d, mask):
+        """The pool vertices in ``mask`` adjacent to pool[d]."""
+        todo = maybe[d]
+        if todo is None:
+            i, x, _, _ = pool[d]
+            support = near = 0
+            for b in {i, *[c >> 1 for c in x]}:
+                support |= 1 << b
+                near |= nbrs[b]
+            reach = 0
+            for b in _bits(near if d < n else support | near):
+                reach |= by_vertex[b]
+            if d < n:
+                adj[d], todo = reach, 0
+            else:
+                adj[d] |= near
+                todo = reach & others & ~(1 << d)
+            maybe[d] = todo
+        todo &= mask & ~known[d]
+        if todo:
+            idd, bit = ids[d], 1 << d
+            known[d] |= todo
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                c = low.bit_length() - 1
+                known[c] |= bit
+                if _adjacent_ids(alphabet, ids[c], idd):
+                    adj[d] |= low
+                    adj[c] |= bit
+        return adj[d] & mask
+
+    return row
+
+
 def search_induced_embedding_ext(pattern, g, radius):
     """Backtracking search for an induced copy of ``pattern`` among the
     extension-graph vertices of conjugator length <= radius.
@@ -373,29 +447,7 @@ def search_induced_embedding_ext(pattern, g, radius):
     anchor_set = set(lex_first_max_independent_set(pattern))
     anchor_order = [v for v in pattern.vertices if v in anchor_set]
     rest = [v for v in pattern.vertices if v not in anchor_set]
-    ids = [r[3] for r in pool]
-    # Per pool vertex, the mask of the pool vertices whose adjacency to it
-    # is known, and the mask of those adjacent to it. A pair is evaluated
-    # once and written into both rows.
-    known = [1 << i for i in range(len(pool))]
-    adj = [0] * len(pool)
-
-    def row(d, mask):
-        """The pool vertices in ``mask`` adjacent to pool[d]."""
-        todo = mask & ~known[d]
-        if todo:
-            idd, bit = ids[d], 1 << d
-            known[d] |= todo
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                c = low.bit_length() - 1
-                known[c] |= bit
-                if _adjacent_ids(alphabet, ids[c], idd):
-                    adj[d] |= low
-                    adj[c] |= bit
-        return adj[d] & mask
-
+    row = _pool_rows(g, pool)
     everything = (1 << len(pool)) - 1
     # The pool is sorted by (radius, base): the generators come first.
     anchor_domains = dict.fromkeys(anchor_order, (1 << len(g)) - 1)

@@ -62,6 +62,8 @@ def test_criterion_09_obstruction_and_searches():
     report = _check(acceptance.criterion_9)
     assert set(report["details"]["searches"]) == {5, 6, 7, 8}
     assert all(v is None for v in report["details"]["searches"].values())
+    assert report["details"]["radius"] == 4
+    assert report["name"].endswith("within radius 4")
 
 
 def test_criterion_10_tree_characterization():

@@ -32,6 +32,7 @@ from raagembed.words import (
     _alphabet,
     canonical_words,
     commutator,
+    commute_elements,
     equal,
     format_word,
     inverse,
@@ -564,8 +565,49 @@ def test_search_returns_none_for_the_tripod_at_small_radius():
     assert search_induced_embedding_ext(t2, make_path(6), 2) is None
 
 
+def _pool_row_cases():
+    for n in range(3, 8):
+        for radius in range(3):
+            yield f"P{n}-r{radius}", make_path(n), radius
+    for n in (4, 5, 6):
+        yield f"C{n}-r2", make_cycle(n), 2
+    yield "T222-r2", make_tripod(2, 2, 2), 2
+    rng = random.Random(19)
+    for k in range(8):
+        yield f"random{k}-r2", _random_graph(rng, rng.randint(4, 6)), 2
+
+
 @pytest.mark.parametrize(
-    "pattern,n,found",
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _pool_row_cases()],
+)
+def test_pool_rows_match_the_commutator_on_every_pair(g, radius):
+    # The reference reduces the whole commutator of the decoded keys and
+    # takes no support or link shortcut. Rows are first asked for a
+    # seeded part of the pool, in a seeded order, so that pairs are
+    # settled from either side before the full rows are read.
+    alphabet = _alphabet(g)
+    pool = extgraph._pool(g, radius)
+    keys = [extgraph._decode_vertex(g, alphabet, r).key for r in pool]
+    row = extgraph._pool_rows(g, pool)
+    everything = (1 << len(pool)) - 1
+    rng = random.Random(f"{g!r}:{radius}")
+    order = list(range(len(pool)))
+    rng.shuffle(order)
+    for d in order:
+        row(d, rng.getrandbits(len(pool)))
+    for d in order:
+        got = row(d, everything)
+        want = sum(
+            1 << c
+            for c in range(len(pool))
+            if c != d and not commute_elements(g, keys[d], keys[c])
+        )
+        assert got == want, str(extgraph._decode_vertex(g, alphabet, pool[d]))
+
+
+@pytest.mark.parametrize(
+    "pattern,n,found,least",
     [
         # a spine of four with one hair on each interior vertex
         (
@@ -574,30 +616,33 @@ def test_search_returns_none_for_the_tripod_at_small_radius():
             ),
             8,
             True,
+            0,
         ),
-        (make_tripod(2, 2, 2), 7, False),
+        (make_cycle(5), 6, False, 100),
     ],
-    ids=["H-into-P8", "T222-into-P7"],
+    ids=["H-into-P8", "C5-into-P6"],
 )
-def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found):
+def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found, least):
     pairs = []
     adjacent_ids = extgraph._adjacent_ids
 
     def counting(alphabet, iu, iv):
-        pairs.append(frozenset((iu[0], iv[0])))
+        pairs.append((iu, iv))
         return adjacent_ids(alphabet, iu, iv)
 
     monkeypatch.setattr(extgraph, "_adjacent_ids", counting)
     witness = search_induced_embedding_ext(pattern, make_path(n), 2)
     assert (witness is not None) == found
-    # A found witness is checked last, one evaluation per pattern pair,
-    # on pairs the search has evaluated already.
+    # A found witness is checked last, one evaluation per pattern pair.
     checked = len(pattern) * (len(pattern) - 1) // 2 if found else 0
-    searched, rechecked = pairs[: len(pairs) - checked], pairs[len(pairs) - checked :]
-    assert len(searched) > 100
-    assert len(set(searched)) == len(searched)
-    assert set(rechecked) <= set(searched)
-
+    searched = pairs[: len(pairs) - checked]
+    assert len(searched) > least
+    assert len({frozenset((iu[0], iv[0])) for iu, iv in searched}) == len(searched)
+    # The masks settle every pair with a generator in it and every pair
+    # whose supports neither meet nor neighbour.
+    for iu, iv in searched:
+        assert len(iu[0]) > 1 and len(iv[0]) > 1
+        assert iu[2] & iv[1]
 
 
 def test_search_checks_the_witness_it_decodes(monkeypatch):
