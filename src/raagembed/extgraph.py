@@ -240,16 +240,16 @@ def enumerate_vertices(g, radius):
 def _pool(g, radius):
     """The vertices of ``enumerate_vertices`` as id records, in its
     order: (base index i, id conjugator x, id key, ``_vertex_ids``
-    triple), the triple's word being x^-1 a x. Every key passes
-    ``_conjugate_key``'s check, so x^-1 a x is reduced and its support
-    is {a} with the letters of x."""
+    triple), the triple's word being x^-1 a x, every part immutable.
+    Every key passes ``_conjugate_key``'s check, so x^-1 a x is reduced
+    and its support is {a} with the letters of x."""
     alphabet = _alphabet(g)
     stops = alphabet.stops
     pool = []
     for i, x in _conjugators(g, radius):
         a = 2 * i
         w = _inverse_ids(x) + [a, *x]
-        key = _conjugate_key(alphabet, w)
+        key = tuple(_conjugate_key(alphabet, w))
         # The loop of ``_vertex_ids``, on a word known to be reduced; a
         # shared helper would cost ``ext_adjacent`` two calls per pair,
         # and its one call per pool vertex here put the ``ext_search``
@@ -441,13 +441,20 @@ def search_induced_embedding_ext(pattern, g, radius):
     conjugation can lengthen the other images, so 'None' means no
     anchored witness within the radius. It does not mean that no witness
     of conjugator length <= radius exists, nor that no embedding exists.
+
+    The pool and its rows are kept on g per radius, for as long as g
+    lives: a pair settled by one search stays settled for the next, since
+    every row is a fact about the pool alone.
     """
     alphabet = _alphabet(g)
-    pool = _pool(g, radius)
+    entry = g._pools.get(radius)
+    if entry is None:
+        pool = _pool(g, radius)
+        entry = g._pools[radius] = (pool, _pool_rows(g, pool))
+    pool, row = entry
     anchor_set = set(lex_first_max_independent_set(pattern))
     anchor_order = [v for v in pattern.vertices if v in anchor_set]
     rest = [v for v in pattern.vertices if v not in anchor_set]
-    row = _pool_rows(g, pool)
     everything = (1 << len(pool)) - 1
     # The pool is sorted by (radius, base): the generators come first.
     anchor_domains = dict.fromkeys(anchor_order, (1 << len(g)) - 1)

@@ -19,10 +19,12 @@ class SimplicialGraph:
 
     Vertices are short string labels; ``vertices`` fixes the canonical
     total order. Edges are stored as index-sorted pairs. ``_alphabet``
-    holds the letter-id tables of ``words``, built on first use.
+    holds the letter-id tables of ``words``, built on first use;
+    ``_pools`` maps a radius to the pool and adjacency rows of
+    ``extgraph``'s search, each built on the first search at that radius.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet")
+    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet", "_pools")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -52,6 +54,7 @@ class SimplicialGraph:
             nbrs[v].add(u)
         self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
         self._alphabet = None
+        self._pools = {}
 
     def __contains__(self, v):
         return v in self._index

@@ -606,20 +606,15 @@ def test_pool_rows_match_the_commutator_on_every_pair(g, radius):
         assert got == want, str(extgraph._decode_vertex(g, alphabet, pool[d]))
 
 
+# a spine of four with one hair on each interior vertex
+HAIRY_H = SimplicialGraph(
+    "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("c", "f")]
+)
+
+
 @pytest.mark.parametrize(
     "pattern,n,found,least",
-    [
-        # a spine of four with one hair on each interior vertex
-        (
-            SimplicialGraph(
-                "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("c", "f")]
-            ),
-            8,
-            True,
-            0,
-        ),
-        (make_cycle(5), 6, False, 100),
-    ],
+    [(HAIRY_H, 8, True, 0), (make_cycle(5), 6, False, 100)],
     ids=["H-into-P8", "C5-into-P6"],
 )
 def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found, least):
@@ -652,11 +647,78 @@ def test_search_checks_the_witness_it_decodes(monkeypatch):
         return ext_vertex(g, decode(g, alphabet, record).base)
 
     monkeypatch.setattr(extgraph, "_decode_vertex", drops_the_conjugator)
-    hairy = SimplicialGraph(
-        "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("c", "f")]
-    )
     with pytest.raises(InvariantViolation, match="decoded witness disagrees"):
-        search_induced_embedding_ext(hairy, make_path(8), 2)
+        search_induced_embedding_ext(HAIRY_H, make_path(8), 2)
+
+
+def _witness_text(found):
+    return None if found is None else {k: str(v) for k, v in sorted(found.items())}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_kept_pool_answers_as_a_fresh_one(n):
+    # One graph object serves every search, at radii interleaved so that
+    # each radius's kept rows are read again after another radius ran.
+    g = make_path(n)
+    patterns = [t for k in range(1, 7) for t in all_trees(k)]
+    patterns += [make_cycle(4), make_cycle(5)]
+    for radius in (2, 0, 1, 2, 1):
+        for t in patterns:
+            got = search_induced_embedding_ext(t, g, radius)
+            want = search_induced_embedding_ext(t, make_path(n), radius)
+            assert _witness_text(got) == _witness_text(want), (t, radius)
+    assert sorted(g._pools) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "pattern,n", [(HAIRY_H, 8), (make_cycle(5), 6)], ids=["H-into-P8", "C5-into-P6"]
+)
+def test_a_repeated_search_builds_no_pool_and_evaluates_only_its_check(
+    monkeypatch, pattern, n
+):
+    g = make_path(n)
+    first = search_induced_embedding_ext(pattern, g, 2)
+    pools, pairs = [], []
+    pool, adjacent_ids = extgraph._pool, extgraph._adjacent_ids
+
+    def counting_pool(g, radius):
+        pools.append(radius)
+        return pool(g, radius)
+
+    def counting_pairs(alphabet, iu, iv):
+        pairs.append((iu, iv))
+        return adjacent_ids(alphabet, iu, iv)
+
+    monkeypatch.setattr(extgraph, "_pool", counting_pool)
+    monkeypatch.setattr(extgraph, "_adjacent_ids", counting_pairs)
+    again = search_induced_embedding_ext(pattern, g, 2)
+    assert _witness_text(again) == _witness_text(first)
+    assert pools == []
+    # The decoded witness is still checked, one evaluation per pattern pair.
+    k = len(pattern) if again is not None else 0
+    assert len(pairs) == k * (k - 1) // 2
+
+
+def test_a_failed_search_keeps_no_pool(monkeypatch):
+    g = make_path(8)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            search_induced_embedding_ext(HAIRY_H, g, -1)
+    assert g._pools == {}
+
+    def refuses(alphabet, w):
+        raise InvariantViolation("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extgraph, "_conjugate_key", refuses)
+        with pytest.raises(InvariantViolation, match="refused"):
+            search_induced_embedding_ext(HAIRY_H, g, 2)
+    assert g._pools == {}
+    got = search_induced_embedding_ext(HAIRY_H, g, 2)
+    want = search_induced_embedding_ext(HAIRY_H, make_path(8), 2)
+    assert want is not None
+    assert _witness_text(got) == _witness_text(want)
+
 
 def _reference_search(pattern, g, radius):
     """Slow reference for the anchored search: every injective choice of
