@@ -8,6 +8,13 @@ classes restricted to the bounded universe, the shortest member of a
 component is the element's geodesic length, and the first member in
 (length, lexicographic) order is a canonical representative.
 
+Word indices run in (length, lexicographic) order over the letter ids, so
+a move at a fixed position maps one block of consecutive indices (the
+words with a fixed prefix and letter pair there, every suffix) onto
+another block of the same size, shifted by a constant. The closure is
+built by uniting such aligned blocks element by element, one block pair
+per (length, position, prefix, move); no word is decoded into letters.
+
 Nothing here calls the reduction or normal-form code, so this module can
 sit on the other side of every word-problem check.
 """
@@ -15,7 +22,6 @@ sit on the other side of every word-problem check.
 from __future__ import annotations
 
 from array import array
-from itertools import product
 
 from .words import Letter
 
@@ -25,34 +31,22 @@ class MoveClosure:
     length <= max_len over the letters of a graph."""
 
     def __init__(self, g, max_len):
+        if max_len < 0:
+            raise ValueError(f"negative bound {max_len}")
         self.graph = g
         self.max_len = max_len
         n = len(g.vertices)
         self.alphabet = 2 * n  # letter id: 2*vertex_index + (0 if positive)
-        a = self.alphabet
-
-        commute = [[False] * a for _ in range(a)]
-        for i in range(n):
-            for j in range(n):
-                ok = i == j or not g.adjacent(g.vertices[i], g.vertices[j])
-                for si in (0, 1):
-                    for sj in (0, 1):
-                        commute[2 * i + si][2 * j + sj] = ok
-        self._commute = commute
-        self._inv = [lid ^ 1 for lid in range(a)]
 
         # offsets[k] = index of the first word of length k
         offsets = [0]
         for k in range(max_len + 1):
-            offsets.append(offsets[-1] + a**k)
+            offsets.append(offsets[-1] + self.alphabet**k)
         self._offsets = offsets
-        total = offsets[max_len + 1]
-        self._parent = list(range(total))
-        self._classes = total
-        self._build()
+        parent, self._classes = self._build()
         # Machine ints instead of a list of int objects: a fraction of the
         # memory for the queries, which only follow and compress paths.
-        self._parent = array("i", self._parent)
+        self._parent = array("i", parent)
 
     # -- union-find ---------------------------------------------------
     # A union keeps the smaller index as the root, and index order is
@@ -67,14 +61,6 @@ class MoveClosure:
         while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
-
-    def _union(self, x, y):
-        rx, ry = self._find(x), self._find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            self._parent[ry] = rx
-            self._classes -= 1
 
     # -- construction ---------------------------------------------------
 
@@ -96,33 +82,53 @@ class MoveClosure:
         return digits
 
     def _build(self):
+        # A word of length k with letters x, y at positions i, i+1 has index
+        # offsets[k] + p*a*a*t + (x*a + y)*t + s, where p indexes its
+        # i-letter prefix, s its suffix and t = a**(k-i-2) counts the
+        # suffixes. So one move at one position joins two aligned blocks of
+        # t consecutive indices, element by element: a swap of commuting
+        # x != y (each unordered pair once, y < x) joins block (x, y) to
+        # block (y, x), and deleting x, x^-1 joins block (x, x^-1) to the
+        # words offsets[k-2] + p*t + s.
+        g = self.graph
+        vs = g.vertices
         a = self.alphabet
-        commute = self._commute
-        inv = self._inv
+        swaps = [
+            (x * a + y, y * a + x)
+            for x in range(a)
+            for y in range(x)
+            if x // 2 == y // 2 or not g.adjacent(vs[x // 2], vs[y // 2])
+        ]
+        deletions = [x * a + (x ^ 1) for x in range(a)]
         offsets = self._offsets
-        union = self._union
+        parent = list(range(offsets[self.max_len + 1]))
+        classes = len(parent)
         for k in range(2, self.max_len + 1):
             base = offsets[k]
             short_base = offsets[k - 2]
-            # positional place values, most significant first
-            place = [a ** (k - 1 - i) for i in range(k)]
-            for digits in product(range(a), repeat=k):
-                acc = 0
-                for d in digits:
-                    acc = acc * a + d
-                idx = base + acc
-                for i in range(k - 1):
-                    x, y = digits[i], digits[i + 1]
-                    if x != y and commute[x][y]:
-                        swapped = acc + (y - x) * place[i] + (x - y) * place[i + 1]
-                        if swapped < acc:  # union once per unordered pair
-                            union(idx, base + swapped)
-                    if y == inv[x]:
-                        rem = 0
-                        for t in range(k):
-                            if t != i and t != i + 1:
-                                rem = rem * a + digits[t]
-                        union(idx, short_base + rem)
+            for i in range(k - 1):
+                t = a ** (k - i - 2)
+                for p in range(a**i):
+                    block = base + p * a * a * t
+                    moves = [(block + u * t, block + v * t) for u, v in swaps]
+                    moves += [(block + d * t, short_base + p * t) for d in deletions]
+                    for src, dst in moves:
+                        for s in range(t):
+                            # union by the smaller root; the build leaves
+                            # path compression to the queries
+                            x = src + s
+                            while parent[x] != x:
+                                x = parent[x]
+                            y = dst + s
+                            while parent[y] != y:
+                                y = parent[y]
+                            if x != y:
+                                if x < y:
+                                    parent[y] = x
+                                else:
+                                    parent[x] = y
+                                classes -= 1
+        return parent, classes
 
     # -- queries ---------------------------------------------------------
 

@@ -25,6 +25,8 @@ def test_criterion_02_word_problem_oracle():
     report = _check(acceptance.criterion_2)
     assert report["details"]["P5"]["words"] == 1_111_111
     assert report["details"]["P4"]["words"] == 37_449
+    assert report["details"]["P5"]["elements"] == 80_949
+    assert report["details"]["P4"]["elements"] == 7_025
 
 
 def test_criterion_03_link_support_commutation():

@@ -1,0 +1,118 @@
+"""The move-closure oracle against its per-word reference build, and the
+oracle's independence from the word-problem code it checks."""
+
+import ast
+import random
+from itertools import combinations, product
+
+import pytest
+
+from raagembed import oracle
+from raagembed.graphs import SimplicialGraph, make_cycle, make_path, make_tripod
+from raagembed.oracle import MoveClosure
+
+
+def _reference_closure_roots(g, max_len):
+    """Every index's root and the class count, built word by word: decode
+    each word's letter ids, unite it with each word one swap of adjacent
+    commuting letters or one deletion of an adjacent inverse pair away.
+
+    Same index order as ``MoveClosure`` (length, then lexicographic over
+    letter ids 2*vertex_index + (0 if positive)), and a union keeps the
+    smaller index as the root, so the roots are comparable one for one.
+    """
+    vs = g.vertices
+    a = 2 * len(vs)
+    commute = [
+        [i // 2 == j // 2 or not g.adjacent(vs[i // 2], vs[j // 2]) for j in range(a)]
+        for i in range(a)
+    ]
+    offsets = [0]
+    for k in range(max_len + 1):
+        offsets.append(offsets[-1] + a**k)
+    parent = list(range(offsets[max_len + 1]))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    def index(digits):
+        acc = 0
+        for d in digits:
+            acc = acc * a + d
+        return offsets[len(digits)] + acc
+
+    for k in range(2, max_len + 1):
+        for digits in product(range(a), repeat=k):
+            idx = index(digits)
+            for i in range(k - 1):
+                x, y = digits[i], digits[i + 1]
+                if x != y and commute[x][y]:
+                    swapped = digits[:i] + (y, x) + digits[i + 2 :]
+                    union(idx, index(swapped))
+                if y == x ^ 1:
+                    union(idx, index(digits[:i] + digits[i + 2 :]))
+    roots = [find(x) for x in range(len(parent))]
+    return roots, len(set(roots))
+
+
+def _random_graph(seed):
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(rng.randint(2, 5))]
+    return SimplicialGraph(vs, [e for e in combinations(vs, 2) if rng.random() < 0.5])
+
+
+CLOSURE_GRAPHS = {
+    **{f"P{n}": make_path(n) for n in range(1, 6)},
+    "C4": make_cycle(4),
+    "C5": make_cycle(5),
+    "K13": make_tripod(1, 1, 1),
+    "empty3": SimplicialGraph(["u", "v", "w"]),
+    "K3": SimplicialGraph(["u", "v", "w"], [("u", "v"), ("u", "w"), ("v", "w")]),
+    **{f"random{s}": _random_graph(s) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GRAPHS))
+def test_the_block_build_matches_the_per_word_reference(name):
+    g = CLOSURE_GRAPHS[name]
+    # L = 0 and L = 1 unite nothing; 5-vertex graphs stop at 3 to stay fast
+    for max_len in range(4 if len(g.vertices) == 5 else 5):
+        closure = MoveClosure(g, max_len)
+        roots, classes = _reference_closure_roots(g, max_len)
+        assert [closure._find(x) for x in range(len(roots))] == roots, max_len
+        assert closure.class_count() == classes, max_len
+
+
+def test_the_benchmark_closure_has_its_class_count():
+    # words_mixed builds this closure and reports its oracle.classes
+    assert MoveClosure(make_path(5), 5).class_count() == 14_659
+
+
+def test_the_closure_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="negative bound -1"):
+        MoveClosure(make_path(3), -1)
+
+
+def test_the_oracle_imports_only_letter_from_the_package():
+    # it is the independent side of every word-problem check, so it must
+    # not reach the reduction or normal-form code
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    internal = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.startswith("raagembed"):
+                internal += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            internal += [
+                (alias.name, None) for alias in node.names if alias.name.startswith("raagembed")
+            ]
+    assert internal == [(".words", "Letter")]
