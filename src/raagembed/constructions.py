@@ -58,11 +58,17 @@ class MoveResult:
     new_labels: tuple = ()  # labels created by the move, in path/hexagon order
     ext_witness: dict = None  # deg1k: old vertex -> ExtVertex over new graph
     hom: GraphHom = None  # deg3: new graph -> old graph
-    renaming: dict = None  # deg3: old vertex -> new label
 
     @property
     def new_graph(self):
         return self.group_map.codomain
+
+    @property
+    def renaming(self):
+        """deg3: old vertex -> new label, read off ``hom``."""
+        if self.hom is None:
+            return None
+        return {old: new for new, old in self.hom.mapping.items() if new not in self.new_labels}
 
     def to_json(self):
         out = {
@@ -76,7 +82,7 @@ class MoveResult:
                 v: format_ext_vertex(e) for v, e in self.ext_witness.items()
             }
         else:
-            out["renaming"] = dict(self.renaming)
+            out["renaming"] = self.renaming
             out["generator_images"] = {
                 v: format_word(w) for v, w in self.group_map.images.items()
             }
@@ -214,7 +220,6 @@ def move_deg3(g, x):
         group_map=ind,
         new_labels=(x1, x2, x3),
         hom=hom,
-        renaming=renaming,
     )
 
 

@@ -22,8 +22,19 @@ sit on the other side of every word-problem check.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from itertools import product
 
 from .words import Letter
+
+
+def all_words(g, max_len):
+    """Every word of length <= max_len over the letters of g, by length
+    and then lexicographic over the letter ids 2*vertex_index + (0 if
+    positive): the index order of ``MoveClosure``."""
+    letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+    for k in range(max_len + 1):
+        yield from product(letters, repeat=k)
 
 
 class MoveClosure:
@@ -63,23 +74,6 @@ class MoveClosure:
         return root
 
     # -- construction ---------------------------------------------------
-
-    def _index(self, digits):
-        acc = 0
-        for d in digits:
-            acc = acc * self.alphabet + d
-        return self._offsets[len(digits)] + acc
-
-    def _decode(self, idx):
-        k = 0
-        while self._offsets[k + 1] <= idx:
-            k += 1
-        acc = idx - self._offsets[k]
-        digits = [0] * k
-        for pos in range(k - 1, -1, -1):
-            digits[pos] = acc % self.alphabet
-            acc //= self.alphabet
-        return digits
 
     def _build(self):
         # A word of length k with letters x, y at positions i, i+1 has index
@@ -132,22 +126,29 @@ class MoveClosure:
 
     # -- queries ---------------------------------------------------------
 
-    def _encode_word(self, w):
-        if len(w) > self.max_len:
-            raise ValueError("word longer than the closure bound")
-        g = self.graph
-        return [2 * g.index(lt.base) + (0 if lt.sign > 0 else 1) for lt in w]
-
-    def _digits_to_word(self, digits):
-        g = self.graph
-        return tuple(
-            Letter(g.vertices[d // 2], 1 if d % 2 == 0 else -1) for d in digits
-        )
+    def sweep(self):
+        """Yield (w, canonical(w)) for each word of ``all_words``, in index
+        order: a root is its class's least index, so the sweep meets the
+        canonical word first and decodes nothing."""
+        first = {}
+        for idx, w in enumerate(all_words(self.graph, self.max_len)):
+            yield w, first.setdefault(self._find(idx), w)
 
     def canonical(self, w):
         """The component's first word in (length, lex) order."""
-        idx = self._index(self._encode_word(w))
-        return self._digits_to_word(self._decode(self._find(idx)))
+        if len(w) > self.max_len:
+            raise ValueError("word longer than the closure bound")
+        g, a, offsets = self.graph, self.alphabet, self._offsets
+        acc = 0
+        for lt in w:
+            acc = acc * a + 2 * g.index(lt.base) + (0 if lt.sign > 0 else 1)
+        root = self._find(offsets[len(w)] + acc)
+        k = bisect_right(offsets, root) - 1
+        acc, out = root - offsets[k], []
+        for _ in range(k):
+            acc, d = divmod(acc, a)
+            out.append(Letter(g.vertices[d // 2], 1 if d % 2 == 0 else -1))
+        return tuple(reversed(out))
 
     def class_count(self):
         """Number of distinct group elements met by the bounded universe."""

@@ -10,6 +10,7 @@ import pytest
 from raagembed import oracle
 from raagembed.graphs import SimplicialGraph, make_cycle, make_path, make_tripod
 from raagembed.oracle import MoveClosure
+from raagembed.words import Letter
 
 
 def _reference_closure_roots(g, max_len):
@@ -89,6 +90,33 @@ def test_the_block_build_matches_the_per_word_reference(name):
         roots, classes = _reference_closure_roots(g, max_len)
         assert [closure._find(x) for x in range(len(roots))] == roots, max_len
         assert closure.class_count() == classes, max_len
+
+
+def _words_in_index_order(g, max_len):
+    """Every word up to max_len, by length and then lexicographic over the
+    letters x1, x1^-1, x2, x2^-1, ... in vertex order."""
+    letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+    for k in range(max_len + 1):
+        yield from product(letters, repeat=k)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "C4", "K13", "empty3", "K3"])
+def test_the_sweep_walks_the_index_order_with_each_word_canonical(name):
+    g = CLOSURE_GRAPHS[name]
+    for max_len in range(5):
+        closure = MoveClosure(g, max_len)
+        swept = list(closure.sweep())
+        assert [w for w, _ in swept] == list(_words_in_index_order(g, max_len)), max_len
+        for w, c in swept:
+            assert c == closure.canonical(w), (max_len, w)
+
+
+def test_canonical_refuses_a_word_beyond_the_bound_or_the_graph():
+    closure = MoveClosure(make_path(3), 2)
+    with pytest.raises(ValueError, match="longer than the closure bound"):
+        closure.canonical((Letter("x1", 1),) * 3)
+    with pytest.raises(ValueError, match="unknown vertex 'y'"):
+        closure.canonical((Letter("x1", 1), Letter("y", -1)))
 
 
 def test_the_benchmark_closure_has_its_class_count():

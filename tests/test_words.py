@@ -187,12 +187,24 @@ def short_words(request):
     """(g, max_len, the reference normal form of every reduced word of
     length <= max_len, the reference reduction of every word of length
     <= max_len in ``all_words`` order), built once per graph for the
-    sweeps below."""
+    sweeps below.
+
+    One walk of the move closure: ``_reference_normal_form`` runs once per
+    class, on its root, and must return the root, so the two references
+    agree; each reduced word's normal form is then its class's root."""
     g, max_len = SHORT_WORDS[request.param]
-    nf_of = {w: _reference_normal_form(g, w) for w in reduced_words(g, max_len)}
+    nf_of = {}
     # each reduction is stored as the equal key of nf_of, not as a copy
-    key_of = {w: w for w in nf_of}
-    reduced = [key_of[_reference_reduce(g, w)] for w in all_words(g, max_len)]
+    key_of = {}
+    reduced = []
+    for w, c in MoveClosure(g, max_len).sweep():
+        if c == w:
+            assert _reference_normal_form(g, w) == w, format_word(w)
+        r = _reference_reduce(g, w)
+        if r == w:
+            nf_of[w] = c
+            key_of[w] = w
+        reduced.append(key_of[r])
     return g, max_len, nf_of, reduced
 
 
