@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import remove
 from .words import (
     Letter,
     _alphabet,
     _bits,
     _extend_reduced_ids,
     _inverse_ids,
-    _reduced_ids,
+    _normal_form_ids,
+    _steps,
+    _word_count,
     _words,
     commute_elements,
     format_word,
@@ -108,14 +109,6 @@ class InducedHom(GroupMap):
         super().__init__(hom.target, hom.source, images)
 
 
-def kill_generators(g, kill):
-    """Retraction onto the group of the graph minus ``kill``: those
-    generators map to the identity, everything else to itself."""
-    sub = remove(g, kill)
-    incl = GraphHom(sub, g, {v: v for v in sub.vertices})
-    return InducedHom(incl)
-
-
 def compose(outer, inner):
     """outer after inner, as generator images."""
     if inner.codomain != outer.domain:
@@ -138,12 +131,13 @@ def check_relator_preservation(m):
 
 
 def _image_codes(m):
-    """The codomain letter ids of the image of each domain letter id."""
+    """The codomain letter ids of the image of each domain letter id, as
+    lists, which the callers must not modify."""
     ids = _alphabet(m.codomain).ids
     codes = []
     for v in m.domain.vertices:
         image = [ids[lt] for lt in m.images[v]]
-        codes += (tuple(image), tuple(_inverse_ids(image)))
+        codes += (image, _inverse_ids(image))
     return codes
 
 
@@ -175,34 +169,67 @@ def _reduced_images(domain, stops, codes, max_len):
         yield w, image, leaves
 
 
-def bounded_injectivity(m, max_len):
-    """Check that no nontrivial domain element of length <= max_len maps
-    to the identity; one canonical word per element is enumerated.
+def _walks(keep, add, blocked, t):
+    """Whether the ids t can be walked from the blocked mask ``blocked``."""
+    for c in t:
+        if blocked >> c & 1:
+            return False
+        blocked = blocked & keep[c] | add[c]
+    return True
 
-    The words of length max_len come from ``_words`` as leaf masks: they
-    are counted by popcount, and a leaf w c is reduced only when the
-    reduced image of c has the reduced length of the image of w. Reduced
-    words in a right-angled Artin group are geodesic, so the image of
-    w c is trivial only if those two lengths are equal. The length is
-    that of the reduced image, since images (of ``compose``, say) need
-    not be reduced."""
+
+def bounded_injectivity(m, max_len):
+    """Check that no canonical domain word w with 1 <= |w| <= max_len has a
+    literal image that reduces to the empty word; ``checked`` is the
+    number of those words, and the violations come in the walk's
+    preorder, which is ascending id-tuple order.
+
+    One meet-in-the-middle pass. With s = max_len - max_len // 2 and
+    r = max_len // 2, each such w is u t with |u| = min(|w|, s) and
+    |t| <= r. A factor of a canonical word is canonical, and u t is a word
+    of the walk exactly when t can be walked from the blocked mask that
+    the walk holds after u. The image of u t is trivial exactly when the
+    normal forms of image(u) and of image(t)^-1 are equal. So the
+    canonical words t with |t| <= r are filed under that normal form of
+    their inverse images, and each u of length s looks up its own; a
+    shorter u violates when its image is trivial. The work is that of the
+    ball B(s), not B(max_len - 1), and ``checked`` is counted per blocked
+    mask by ``_word_count``.
+
+    The violations need no sort: the u walk runs in preorder, a shorter u
+    comes before its extensions, and each key lists its tails t in the
+    preorder of the t walk, so u t comes out in ascending id-tuple order.
+
+    The check stays on words, not on elements of the ball B(s): a
+    ``GroupMap`` need not be a homomorphism, since its images need not
+    satisfy the domain's relators, so two words for one domain element
+    may have different images."""
+    checked = _word_count(m.domain, max_len, True) - 1
     stops = _alphabet(m.codomain).stops
     codes = _image_codes(m)
-    by_len = {}
-    for c, code in enumerate(codes):
-        n = len(_reduced_ids(stops, code))
-        by_len[n] = by_len.get(n, 0) | 1 << c
-    checked = 0
-    violations = []
-    for w, image, leaves in _reduced_images(m.domain, stops, codes, max_len):
-        if w:
-            checked += 1
-            if not image:
-                violations.append(_format_ids(m.domain, w))
-        checked += leaves.bit_count()
-        for c in _bits(leaves & by_len.get(len(image), 0)):
-            if not _times(stops, image, codes[c]):
-                violations.append(_format_ids(m.domain, w + (c,)))
+    keep, add = _steps(m.domain, True)
+    every = (1 << len(codes)) - 1
+    half = max_len // 2
+    ends = {}
+    for t, image, leaves in _reduced_images(m.domain, stops, codes, half):
+        back = _inverse_ids(image)
+        ends.setdefault(tuple(_normal_form_ids(stops, back)), []).append(t)
+        for c in _bits(leaves):
+            key = tuple(_normal_form_ids(stops, codes[c ^ 1] + back))
+            ends.setdefault(key, []).append(t + (c,))
+    found = []
+    for u, image, leaves in _reduced_images(
+        m.domain, stops, codes, max_len - half
+    ):
+        if u and not image:
+            found.append(u)
+        blocked = every & ~leaves  # the mask the walk holds at u
+        for c in _bits(leaves):
+            tails = ends.get(tuple(_normal_form_ids(stops, image + codes[c])))
+            if tails:
+                start = blocked & keep[c] | add[c]
+                found += [u + (c,) + t for t in tails if _walks(keep, add, start, t)]
+    violations = [_format_ids(m.domain, w) for w in found]
     return {"bound": max_len, "checked": checked, "violations": violations}
 
 

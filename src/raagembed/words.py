@@ -271,11 +271,7 @@ def _words(g, max_len, canonical, blocked=0):
     if max_len == 0:
         yield (), 0
         return
-    keep, add = [], []
-    for c, stop in enumerate(_alphabet(g).stops):
-        keep.append(~stop)
-        low = ((1 << (c & ~1)) - 1) & ~stop if canonical else 0
-        add.append(1 << (c ^ 1) | low)
+    keep, add = _steps(g, canonical)
     every = (1 << 2 * len(g)) - 1
     top = range(2 * len(g) - 1, -1, -1)
     last = max_len - 1
@@ -291,6 +287,43 @@ def _words(g, max_len, canonical, blocked=0):
                 for c in top
                 if not blocked >> c & 1
             ]
+
+
+def _steps(g, canonical):
+    """The step tables of the walk of ``_words``: appending the id c to a
+    word with blocked mask b leaves the mask ``b & keep[c] | add[c]``."""
+    keep, add = [], []
+    for c, stop in enumerate(_alphabet(g).stops):
+        keep.append(~stop)
+        low = ((1 << (c & ~1)) - 1) & ~stop if canonical else 0
+        add.append(1 << (c ^ 1) | low)
+    return keep, add
+
+
+def _word_count(g, max_len, canonical):
+    """The number of words in the walk of ``_words`` from the empty mask,
+    the empty word included, without walking them: the words of each
+    length are counted per blocked mask, since a word's extensions depend
+    on its mask alone. The last level is counted by popcount."""
+    if max_len < 0:
+        raise ValueError(f"negative bound {max_len}")
+    keep, add = _steps(g, canonical)
+    every = (1 << len(keep)) - 1
+    ids = range(len(keep))
+    level = {0: 1}
+    total = 1
+    for _ in range(max_len - 1):
+        nxt = {}
+        for blocked, n in level.items():
+            for c in ids:
+                if not blocked >> c & 1:
+                    b = blocked & keep[c] | add[c]
+                    nxt[b] = nxt.get(b, 0) + n
+        level = nxt
+        total += sum(nxt.values())
+    if max_len:
+        total += sum(n * (every & ~b).bit_count() for b, n in level.items())
+    return total
 
 
 def _bits(mask):

@@ -21,7 +21,6 @@ from raagembed.homs import (
     check_support_propagation,
     check_surviving,
     compose,
-    kill_generators,
 )
 from raagembed.words import (
     Letter,
@@ -45,6 +44,13 @@ P5 = make_path(5)
 
 def identity_hom(g):
     return InducedHom(GraphHom(g, g, {v: v for v in g.vertices}))
+
+
+def kill_generators(g, kill):
+    """Retraction onto the group of the graph minus ``kill``: those
+    generators map to the identity, everything else to itself."""
+    sub = remove(g, kill)
+    return InducedHom(GraphHom(sub, g, {v: v for v in sub.vertices}))
 
 
 def test_check_graph_hom_identity_and_collapse():
@@ -391,6 +397,14 @@ def test_bounded_checks_match_the_naive_references():
             for v in m.codomain.vertices:
                 fast = check_surviving(m, v, max_len)
                 assert fast == _naive_surviving(m, v, max_len), (m.images, v, max_len)
+    # injectivity splits a word as u t with |u| = ceil(max_len / 2): the
+    # bounds 5 and 6 give an odd and an even split
+    for max_len in (5, 6):
+        for m, _, _ in cases:
+            if len(m.domain) <= 4:
+                fast = bounded_injectivity(m, max_len)
+                assert fast == _naive_injectivity(m, max_len)
+                assert fast["violations"]
 
 
 def test_bounded_checks_reject_bad_input():

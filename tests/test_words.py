@@ -9,8 +9,10 @@ from raagembed.oracle import MoveClosure
 from raagembed.words import (
     Letter,
     _alphabet,
+    _decoded_words,
     _extend_reduced_ids,
     _normal_form_ids,
+    _word_count,
     canonical_words,
     check_lemma_comm1,
     commutator,
@@ -483,6 +485,22 @@ def test_enumerators_refuse_a_negative_bound():
     for words_of in (canonical_words, reduced_words):
         with pytest.raises(ValueError, match="negative"):
             next(words_of(P5, -1))
+
+
+def test_word_count_equals_the_length_of_the_walk():
+    # the bounded injectivity check reports this count as ``checked``
+    rng = random.Random(41)
+    graphs = [make_path(n) for n in range(1, 7)]
+    graphs += [make_cycle(n) for n in range(4, 7)]
+    graphs += [make_tripod(1, 1, 1), make_tripod(2, 2, 2)]
+    graphs += [g for g in (_random_graph(rng) for _ in range(12)) if len(g) <= 7]
+    for g in graphs:
+        for max_len in range(6):
+            for canonical in (True, False):
+                walk = sum(1 for _ in _decoded_words(g, max_len, canonical))
+                assert _word_count(g, max_len, canonical) == walk, (g, max_len)
+    with pytest.raises(ValueError, match="negative"):
+        _word_count(P5, -1, True)
 
 
 def test_reduced_words_cover_all_reduced_representatives():
