@@ -8,6 +8,7 @@ determinism and is fixed to the canonical vertex order.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .words import (
@@ -17,6 +18,7 @@ from .words import (
     _extend_reduced_ids,
     _inverse_ids,
     _normal_form_ids,
+    _state_counts,
     _steps,
     _word_count,
     _words,
@@ -239,15 +241,19 @@ def check_surviving(m, v_prime, max_len):
     signs with neither a v_prime letter nor a link letter between them
     (an innermost cancellation of v_prime).
 
-    Every reduced word is enumerated, not one per element: distinct
-    representatives have distinct literal images. One state is stacked
-    per depth of the preorder: whether the image has such a pair, and the
-    id of its last v_prime letter (-1 once a link letter follows it).
-    The words of length max_len come from ``_words`` as leaf masks and
-    are settled in bulk: all of them violate when their parent's image
-    has cancelled, and otherwise those in the precomputed mask of ids
-    whose image completes a cancellation from the parent's last v_prime
-    letter.
+    Every reduced word is checked, not one per element: the literal image
+    depends on the word, not only on the element it represents.
+
+    Survival is read off the literal image by a scan with four states:
+    0 at the start and after a link letter, 1 after a positive and 2
+    after an inverse v_prime letter, and 3, which absorbs, once a
+    cancellation is seen. So the state of w + (c,) is ``step[s][c]`` for
+    the state s of w, and ``_state_counts`` counts the words per (blocked
+    mask, state) class without walking them: ``checked`` is their total,
+    and the words in state 3 are the violations. Only when there are some
+    are words built, in the preorder of ``_words``, going down only into
+    the children whose (blocked mask, state, remaining length) class
+    leads to state 3.
     """
     if v_prime not in m.codomain:
         raise ValueError(f"unknown vertex {v_prime!r}")
@@ -255,38 +261,55 @@ def check_surviving(m, v_prime, max_len):
     stop = _alphabet(m.codomain).stops[p]
     codes = _image_codes(m)
 
-    def scan(cancelled, last, code):
+    def scan(s, code):
         for d in code:
             if stop >> d & 1:
-                if d | 1 == p | 1:
-                    cancelled = cancelled or d == last ^ 1
-                    last = d
+                if d | 1 != p | 1:
+                    s = 0
+                elif s + (d & 1) == 2:
+                    return 3
                 else:
-                    last = -1
-        return cancelled, last
+                    s = 1 + (d & 1)
+        return s
 
-    cancels = {
-        last: sum(1 << c for c, code in enumerate(codes) if scan(False, last, code)[0])
-        for last in (-1, p, p | 1)
-    }
-    checked = 0
+    step = [[scan(s, code) for code in codes] for s in range(3)]
+    step.append([3] * len(codes))
+    counts = _state_counts(m.domain, max_len, False, step)
     violations = []
-    stack = []
-    for w, leaves in _words(m.domain, max_len, False):
-        state = scan(*stack[len(w) - 1], codes[w[-1]]) if w else (False, -1)
-        del stack[len(w):]
-        stack.append(state)
-        checked += 1 + leaves.bit_count()
-        cancelled, last = state
-        if cancelled:
-            violations.append(_format_ids(m.domain, w))
-        else:
-            leaves &= cancels[last]
-        violations += [_format_ids(m.domain, w + (c,)) for c in _bits(leaves)]
+    if counts[3]:
+        keep, add = _steps(m.domain, False)
+
+        def children(blocked, s):
+            return [
+                (c, blocked & keep[c] | add[c], step[s][c])
+                for c in range(len(codes))
+                if not blocked >> c & 1
+            ]
+
+        @cache
+        def doomed(blocked, s, r):
+            """Whether a word with this blocked mask and state, or an
+            extension of it by at most r ids, is in state 3."""
+            return s == 3 or r > 0 and any(
+                doomed(b, t, r - 1) for _, b, t in children(blocked, s)
+            )
+
+        stack = [((), 0, 0)]
+        while stack:
+            w, blocked, s = stack.pop()
+            if s == 3:
+                violations.append(_format_ids(m.domain, w))
+            r = max_len - len(w)
+            if r:
+                stack += [
+                    (w + (c,), b, t)
+                    for c, b, t in reversed(children(blocked, s))
+                    if doomed(b, t, r - 1)
+                ]
     return {
         "vertex": v_prime,
         "bound": max_len,
-        "checked": checked,
+        "checked": sum(counts),
         "violations": violations,
     }
 

@@ -302,28 +302,52 @@ def _steps(g, canonical):
 
 def _word_count(g, max_len, canonical):
     """The number of words in the walk of ``_words`` from the empty mask,
-    the empty word included, without walking them: the words of each
-    length are counted per blocked mask, since a word's extensions depend
-    on its mask alone. The last level is counted by popcount."""
+    the empty word included, without walking them."""
+    return _state_counts(g, max_len, canonical, [[0] * 2 * len(g)])[0]
+
+
+def _state_counts(g, max_len, canonical, step):
+    """The number of words in each state in the walk of ``_words`` from the
+    empty mask, the empty word included, without walking them. The empty
+    word has state 0, and w + (c,) has state ``step[s][c]`` when w has
+    state s. A word's extensions depend on its blocked mask alone, so the
+    words of each length are counted per state and blocked mask, level by
+    level. From each state the ids are grouped by the state they lead to,
+    so that each group steps the masks into one state's next level as
+    ``_steps`` says; the last level is counted by popcount per group."""
     if max_len < 0:
         raise ValueError(f"negative bound {max_len}")
     keep, add = _steps(g, canonical)
-    every = (1 << len(keep)) - 1
-    ids = range(len(keep))
-    level = {0: 1}
-    total = 1
+    groups = []
+    for row in step:
+        by_state = {}
+        for c, t in enumerate(row):
+            by_state.setdefault(t, []).append(c)
+        groups.append(
+            [(t, ids, sum(1 << c for c in ids)) for t, ids in by_state.items()]
+        )
+    counts = [0] * len(step)
+    level = [{0: 1}] + [{} for _ in step[1:]]
     for _ in range(max_len - 1):
-        nxt = {}
-        for blocked, n in level.items():
-            for c in ids:
-                if not blocked >> c & 1:
-                    b = blocked & keep[c] | add[c]
-                    nxt[b] = nxt.get(b, 0) + n
+        nxt = [{} for _ in step]
+        for s, masks in enumerate(level):
+            counts[s] += sum(masks.values())
+            for t, ids, _ in groups[s]:
+                into = nxt[t]
+                for blocked, n in masks.items():
+                    for c in ids:
+                        if not blocked >> c & 1:
+                            b = blocked & keep[c] | add[c]
+                            into[b] = into.get(b, 0) + n
         level = nxt
-        total += sum(nxt.values())
-    if max_len:
-        total += sum(n * (every & ~b).bit_count() for b, n in level.items())
-    return total
+    for s, masks in enumerate(level):
+        counts[s] += sum(masks.values())
+        if max_len:
+            for t, _, mask in groups[s]:
+                counts[t] += sum(
+                    n * (mask & ~b).bit_count() for b, n in masks.items()
+                )
+    return counts
 
 
 def _bits(mask):

@@ -48,6 +48,11 @@ def test_criterion_06_hexagon_move():
     report = _check(acceptance.criterion_6)
     assert report["details"]["relators_preserved"]
     assert report["details"]["injectivity"]["checked"] == 317_944
+    claims = report["details"]["claims"]
+    assert list(claims["restricted_surviving_checked"].values()) == [146_221] * 6
+    assert claims["support_propagation_checked"] == 15_506
+    assert claims["full_surviving_checked"] == 343_415
+    assert claims["all_clean"]
 
 
 def test_criterion_07_pipeline():

@@ -234,6 +234,7 @@ def _naive_support_propagation(m, trigger, required, max_len):
 def _base_cancellation(g, w, base):
     """Positions (i, j) of an innermost cancellation of two ``base``
     letters in the literal word w, or None."""
+    link = g.neighbors(base)
     for i, lt in enumerate(w):
         if lt.base != base:
             continue
@@ -242,16 +243,22 @@ def _base_cancellation(g, w, base):
                 if w[j].sign == -lt.sign:
                     return (i, j)
                 break
-            if w[j].base in g.neighbors(base):
+            if w[j].base in link:
                 break
     return None
 
 
 def _naive_surviving(m, v_prime, max_len):
+    # the literal image of a word is the concatenation of the images that
+    # ``apply`` gives its letters
+    images = {
+        lt: m.apply((lt,)) for v in m.domain.vertices for lt in word(v, v + "^-1")
+    }
     checked, violations = 0, []
     for w in _reference_words(m.domain, max_len, False):
         checked += 1
-        if _base_cancellation(m.codomain, m.apply(w), v_prime) is not None:
+        image = [x for lt in w for x in images[lt]]
+        if _base_cancellation(m.codomain, image, v_prime) is not None:
             violations.append(format_word(w))
     return {
         "vertex": v_prime,
@@ -398,13 +405,22 @@ def test_bounded_checks_match_the_naive_references():
                 fast = check_surviving(m, v, max_len)
                 assert fast == _naive_surviving(m, v, max_len), (m.images, v, max_len)
     # injectivity splits a word as u t with |u| = ceil(max_len / 2): the
-    # bounds 5 and 6 give an odd and an even split
+    # bounds 5 and 6 give an odd and an even split. Survival builds words
+    # only below the classes that lead to a cancellation; it is checked
+    # for one codomain vertex per case, taken in turn, and must meet both
+    # a clean report and one with violations
+    clean = set()
     for max_len in (5, 6):
-        for m, _, _ in cases:
+        for i, (m, _, _) in enumerate(cases):
             if len(m.domain) <= 4:
                 fast = bounded_injectivity(m, max_len)
                 assert fast == _naive_injectivity(m, max_len)
                 assert fast["violations"]
+                v = m.codomain.vertices[i % len(m.codomain)]
+                fast = check_surviving(m, v, max_len)
+                assert fast == _naive_surviving(m, v, max_len), (m.images, v, max_len)
+                clean.add(not fast["violations"])
+    assert clean == {True, False}
 
 
 def test_bounded_checks_reject_bad_input():

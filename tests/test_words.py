@@ -12,6 +12,7 @@ from raagembed.words import (
     _decoded_words,
     _extend_reduced_ids,
     _normal_form_ids,
+    _state_counts,
     _word_count,
     canonical_words,
     check_lemma_comm1,
@@ -501,6 +502,25 @@ def test_word_count_equals_the_length_of_the_walk():
                 assert _word_count(g, max_len, canonical) == walk, (g, max_len)
     with pytest.raises(ValueError, match="negative"):
         _word_count(P5, -1, True)
+
+
+def test_state_counts_split_the_walk_by_state():
+    # state 0 until the first inverse letter of the first vertex, then 1
+    # after a positive letter and 2 after an inverse one
+    for g in (make_path(1), P4, make_cycle(5), make_tripod(1, 1, 1)):
+        first = g.vertices[0]
+        n = 2 * len(g)
+        step = [[2 if c == 1 else 0 for c in range(n)]]
+        step += [[1 + (c & 1) for c in range(n)]] * 2
+        for max_len in range(6):
+            for canonical in (True, False):
+                counts = [0, 0, 0]
+                for w in _decoded_words(g, max_len, canonical):
+                    if Letter(first, -1) not in w:
+                        counts[0] += 1
+                    else:
+                        counts[1 + (w[-1].sign < 0)] += 1
+                assert _state_counts(g, max_len, canonical, step) == counts, g
 
 
 def test_reduced_words_cover_all_reduced_representatives():
