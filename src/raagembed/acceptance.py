@@ -315,7 +315,7 @@ def criterion_9():
 
 
 def criterion_10():
-    """Characterization over all trees with <= 9 vertices: decomposable as
+    """Characterization over all trees with <= 13 vertices: decomposable as
     spine-plus-hairs iff no induced tripod; every decomposable tree gets a
     verified witness with n = m + 2k; the four-spine example reproduces
     the expected image set in the 10-vertex path exactly."""
@@ -324,7 +324,7 @@ def criterion_10():
     equivalence_failures = []
     witness_failures = []
     hairy_count = 0
-    for n in range(1, 10):
+    for n in range(1, 14):
         for t in all_trees(n):
             trees_checked += 1
             dec = is_hairy_path(t)
@@ -365,7 +365,7 @@ def criterion_10():
     )
     return {
         "id": 10,
-        "name": "hairy-path characterization over all trees up to 9 vertices",
+        "name": "hairy-path characterization over all trees up to 13 vertices",
         "passed": passed,
         "details": {
             "trees": trees_checked,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphParseError, InvariantViolation
-from .graphs import SimplicialGraph, induced_maps, is_independent, make_path
+from .graphs import SimplicialGraph, induced_maps, make_path
 from .words import (
     Letter,
     _alphabet,
@@ -72,13 +72,16 @@ def _vertex_ids(alphabet, v):
     neighbours of every support vertex), masks taking both signs of a
     vertex. The support is read off the word reduced here, so it is right
     for any graph on v's labels, not only the one that built v. A label
-    that is not on the graph raises ValueError."""
+    that is not on the graph raises ValueError. A generator a is its own
+    reduced word, with support a and reach ``stops[a]``."""
     ids, stops = alphabet.ids, alphabet.stops
     try:
         conj = [ids[lt] for lt in v.conjugator]
         a = ids[Letter(v.base, 1)]
     except KeyError as exc:
         raise ValueError(f"unknown letter {exc.args[0]!r}") from None
+    if not conj:
+        return (a,), 3 << a, stops[a]
     key = tuple(_inverse_ids(conj) + [a] + conj)
     reduced = _reduced_ids(stops, key)
     support = reach = 0
@@ -111,10 +114,12 @@ def ext_vertex(g, base, w=()):
     normal form of w is already the conjugator. The work runs on letter
     ids, each normal form (of w, of the stripped conjugator, of the key)
     in one pass of ``_normal_form_ids`` over an unreduced word; the result
-    is decoded once.
+    is decoded once. A generator, with w empty, needs no normal form.
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
+    if not w:
+        return ExtVertex(base, (), (Letter(base, 1),))
     alphabet = _alphabet(g)
     stops, links = alphabet.stops, alphabet.links
     u = _normal_form_ids(stops, _encode(alphabet, w))
@@ -285,11 +290,19 @@ class ExtSubgraphView:
 
 def _ext_edges(g, vertices):
     """The index pairs (i, j), i < j, of the adjacent vertices in the
-    sequence, each pair asked once in ``combinations`` order; ValueError
-    if two are equal elements. Every pair is asked, with no early exit, so
+    sequence; ValueError if two are equal elements."""
+    edges = _distinct_ext_edges(g, vertices)
+    if edges is None:
+        raise ValueError("duplicate extension vertices")
+    return edges
+
+
+def _distinct_ext_edges(g, vertices):
+    """``_ext_edges``, or None if two vertices are equal elements. Each
+    pair is asked once in ``combinations`` order, with no early exit, so
     that one routine serves the accepting and the rejecting callers."""
     if len({v.key for v in vertices}) != len(vertices):
-        raise ValueError("duplicate extension vertices")
+        return None
     alphabet = _alphabet(g)
     ids = [_vertex_ids(alphabet, v) for v in vertices]
     return frozenset(
@@ -348,12 +361,31 @@ def push_to_base(g, items):
 
 def lex_first_max_independent_set(g):
     """Lexicographically first maximum independent set (canonical order)."""
-    vs = g.vertices
-    for size in range(len(vs), 0, -1):
-        for combo in combinations(vs, size):
-            if is_independent(g, combo):
-                return combo
-    return ()
+    found = _max_independent(g._masks, (1 << len(g)) - 1, {})
+    return tuple([v for i, v in enumerate(g.vertices) if found >> i & 1])
+
+
+def _max_independent(masks, avail, memo):
+    """The lexicographically first maximum independent set of the vertices
+    in the mask ``avail``, as a mask, by branching on the least vertex:
+    take it, which makes its neighbours unavailable, or drop it. Each set
+    that takes it comes before each set that drops it, so taking wins a
+    tie, and a vertex with no available neighbour is always taken. The
+    answer for each mask is kept in ``memo``."""
+    if not avail:
+        return 0
+    found = memo.get(avail)
+    if found is None:
+        low = avail & -avail
+        rest = avail ^ low
+        nbrs = masks[low.bit_length() - 1]
+        found = low | _max_independent(masks, rest & ~nbrs, memo)
+        if nbrs & rest:
+            drop = _max_independent(masks, rest, memo)
+            if drop.bit_count() > found.bit_count():
+                found = drop
+        memo[avail] = found
+    return found
 
 
 def _pool_rows(g, pool):
@@ -376,7 +408,7 @@ def _pool_rows(g, pool):
     """
     alphabet = _alphabet(g)
     n = len(g)
-    nbrs = [sum(1 << g.index(u) for u in g.neighbors(v)) for v in g.vertices]
+    nbrs = g._masks
     # The bits are set in byte arrays, so that the pass is linear in the pool.
     holders = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
     for d, (i, x, _, _) in enumerate(pool):
@@ -452,26 +484,28 @@ def search_induced_embedding_ext(pattern, g, radius):
         pool = _pool(g, radius)
         entry = g._pools[radius] = (pool, _pool_rows(g, pool))
     pool, row = entry
-    anchor_set = set(lex_first_max_independent_set(pattern))
-    anchor_order = [v for v in pattern.vertices if v in anchor_set]
-    rest = [v for v in pattern.vertices if v not in anchor_set]
+    anchors = lex_first_max_independent_set(pattern)
+    rest = [v for v in pattern.vertices if v not in anchors]
+    # Per rest vertex: each anchor, and whether the two must be adjacent.
+    wants = [(rv, [(au, pattern.adjacent(rv, au)) for au in anchors]) for rv in rest]
     everything = (1 << len(pool)) - 1
     # The pool is sorted by (radius, base): the generators come first.
-    anchor_domains = dict.fromkeys(anchor_order, (1 << len(g)) - 1)
-    for amap in induced_maps(pattern.adjacent, anchor_order, anchor_domains, row):
+    anchor_domains = dict.fromkeys(anchors, (1 << len(g)) - 1)
+    for amap in induced_maps(pattern.adjacent, anchors, anchor_domains, row):
         free = everything
         for ai in amap.values():
             free &= ~(1 << ai)
         domains = {}
-        for rv in rest:
+        for rv, pairs in wants:
             mask = free
-            for au in anchor_order:
+            for au, want in pairs:
                 r = row(amap[au], mask)
-                mask = r if pattern.adjacent(rv, au) else mask & ~r
+                mask = r if want else mask & ~r
             domains[rv] = mask
         if not all(domains.values()):
             continue
-        order = sorted(rest, key=lambda v: (domains[v].bit_count(), pattern.index(v)))
+        # ``rest`` is in pattern order, which the stable sort keeps on ties.
+        order = sorted(rest, key=lambda v: domains[v].bit_count())
         found = next(induced_maps(pattern.adjacent, order, domains, row), None)
         if found is not None:
             amap.update(found)
@@ -492,11 +526,10 @@ def verify_witness(pattern, g, witness):
     subgraph of the extension graph."""
     if set(witness) != set(pattern.vertices):
         return False
-    vertices = [witness[v] for v in pattern.vertices]
-    if len({v.key for v in vertices}) != len(vertices):
-        return False
-    want = {(pattern.index(u), pattern.index(v)) for u, v in pattern.edges}
-    return _ext_edges(g, vertices) == want
+    index = pattern._index
+    want = {(index[u], index[v]) for u, v in pattern.edges}
+    # None, for two labels on one element, is not equal to want.
+    return _distinct_ext_edges(g, [witness[v] for v in pattern.vertices]) == want
 
 
 def verify_lemma_path(n, radius):

@@ -18,13 +18,18 @@ class SimplicialGraph:
     """Finite undirected loop-free graph.
 
     Vertices are short string labels; ``vertices`` fixes the canonical
-    total order. Edges are stored as index-sorted pairs. ``_alphabet``
-    holds the letter-id tables of ``words``, built on first use;
-    ``_pools`` maps a radius to the pool and adjacency rows of
-    ``extgraph``'s search, each built on the first search at that radius.
+    total order. Edges are stored as index-sorted pairs. ``_masks[i]`` is
+    the bitmask of the indices of vertex i's neighbours, which the
+    predicates here and the id tables of ``words`` and ``extgraph`` read.
+    ``_nbrs`` holds the same facts as label sets: ``neighbors()`` is the
+    label boundary, which criterion 3 alone asks 555,555 times, so it
+    answers without turning a mask into labels. ``_alphabet`` holds the
+    letter-id tables of ``words``, built on first use; ``_pools`` maps a
+    radius to the pool and adjacency rows of ``extgraph``'s search, each
+    built on the first search at that radius.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_alphabet", "_pools")
+    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_masks", "_alphabet", "_pools")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -34,25 +39,28 @@ class SimplicialGraph:
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
         norm = set()
+        nbrs = {v: set() for v in vertices}
+        masks = [0] * len(vertices)
         for e in edges:
             u, v = e
             if not (isinstance(u, str) and isinstance(v, str)):
                 raise ValueError(f"edge {u!r}-{v!r} has a label that is not a string")
             if u == v:
                 raise ValueError(f"loop edge at {u!r}")
-            if u not in index or v not in index:
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
                 raise ValueError(f"edge {u!r}-{v!r} mentions an unknown vertex")
-            if index[u] > index[v]:
-                u, v = v, u
-            norm.add((u, v))
+            norm.add((u, v) if i < j else (v, u))
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self.vertices = vertices
         self.edges = frozenset(norm)
         self._index = index
-        nbrs = {v: set() for v in vertices}
-        for u, v in norm:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
         self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
+        self._masks = tuple(masks)
         self._alphabet = None
         self._pools = {}
 
@@ -156,36 +164,29 @@ def remove(g, drop):
     return induced(g, [v for v in g.vertices if v not in drop])
 
 
-def is_independent(g, vs):
-    return not any(g.adjacent(u, v) for u, v in combinations(vs, 2))
-
-
-def components(g):
-    """Connected components as frozensets, ordered by least vertex index."""
-    seen = set()
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+def _levels(masks, start):
+    """The breadth-first levels from the vertex of index start, as vertex
+    masks: the start, its neighbours, their new neighbours, and so on."""
+    seen = level = 1 << start
+    levels = []
+    while level:
+        levels.append(level)
+        reach = 0
+        while level:
+            low = level & -level
+            level ^= low
+            reach |= masks[low.bit_length() - 1]
+        level = reach & ~seen
+        seen |= level
+    return levels
 
 
 def is_connected(g):
-    return len(g) > 0 and len(components(g)) == 1
+    return len(g) > 0 and sum(_levels(g._masks, 0)) == (1 << len(g)) - 1
 
 
 def is_tree(g):
-    return is_connected(g) and len(g.edges) == len(g) - 1
+    return len(g.edges) == len(g) - 1 and is_connected(g)
 
 
 def induced_maps(wanted, order, domains, row):
@@ -234,8 +235,8 @@ def _vertex_maps(g, wanted, order, domains):
     """``induced_maps`` into the graph g: ``domains`` maps each pattern
     vertex to some of g's vertices, tried in canonical order, and each
     map sends the pattern vertices to labels of g."""
-    nbrs = [sum(1 << g.index(u) for u in g.neighbors(v)) for v in g.vertices]
-    masks = {v: sum(1 << g.index(u) for u in vs) for v, vs in domains.items()}
+    nbrs, index = g._masks, g._index
+    masks = {v: sum(1 << index[u] for u in vs) for v, vs in domains.items()}
     for found in induced_maps(wanted, order, masks, lambda d, mask: nbrs[d] & mask):
         yield {v: g.vertices[i] for v, i in found.items()}
 
@@ -282,33 +283,22 @@ class HairyDecomposition:
         return sum(len(hs) for hs in self.hairs.values())
 
 
-def _farthest(g, start):
-    """BFS; farthest vertex from start (ties by canonical order) and parents."""
-    dist = {start: 0}
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in sorted(g.neighbors(v), key=g.index):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    far = max(dist, key=lambda v: (dist[v], -g.index(v)))
-    return far, parent
+def _least(mask):
+    return (mask & -mask).bit_length() - 1
 
 
-def _diameter_path(g):
-    """A longest path of a tree via double BFS; in a tree it is induced."""
-    first = g.vertices[0]
-    a, _ = _farthest(g, first)
-    b, parent = _farthest(g, a)
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    if g.index(path[0]) > g.index(path[-1]):
+def _diameter_path(masks):
+    """A longest path of a tree, as vertex indices, by double BFS: from
+    vertex 0 to the least vertex a of its last level, from a to the least
+    vertex b of its last level, then back from b through a's levels, each
+    step to the one neighbour in the level before. In a tree the path is
+    induced. It runs from its lower-indexed end."""
+    a = _least(_levels(masks, 0)[-1])
+    levels = _levels(masks, a)
+    path = [_least(levels[-1])]
+    for level in reversed(levels[:-1]):
+        path.append(_least(masks[path[-1]] & level))
+    if path[0] > path[-1]:
         path.reverse()
     return path
 
@@ -322,22 +312,21 @@ def is_hairy_path(t):
     """
     if not is_tree(t):
         raise ValueError("input graph is not a tree")
-    spine = _diameter_path(t)
-    on_spine = set(spine)
-    interior = set(spine[1:-1])
-    hairs = {v: [] for v in spine}
-    for v in t.vertices:
-        if v in on_spine:
+    vs, masks = t.vertices, t._masks
+    spine = _diameter_path(masks)
+    on_spine = sum(1 << i for i in spine)
+    interior = on_spine & ~(1 << spine[0] | 1 << spine[-1])
+    hairs = {i: [] for i in spine}
+    for i, m in enumerate(masks):
+        if on_spine >> i & 1:
             continue
-        if t.degree(v) != 1:
+        # a leaf has one neighbour, which must be an interior spine vertex
+        if m & (m - 1) or not m & interior:
             return None
-        attach = next(iter(t.neighbors(v)))
-        if attach not in interior:
-            return None
-        hairs[attach].append(v)
+        hairs[m.bit_length() - 1].append(vs[i])
     return HairyDecomposition(
-        spine=tuple(spine),
-        hairs={v: tuple(hs) for v, hs in hairs.items() if hs},
+        spine=tuple([vs[i] for i in spine]),
+        hairs={vs[i]: tuple(hs) for i, hs in hairs.items() if hs},
     )
 
 

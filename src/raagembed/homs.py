@@ -206,10 +206,10 @@ def bounded_injectivity(m, max_len):
     ``GroupMap`` need not be a homomorphism, since its images need not
     satisfy the domain's relators, so two words for one domain element
     may have different images."""
-    checked = _word_count(m.domain, max_len, True) - 1
+    keep, add = steps = _steps(m.domain, True)
+    checked = _word_count(steps, max_len) - 1
     stops = _alphabet(m.codomain).stops
     codes = _image_codes(m)
-    keep, add = _steps(m.domain, True)
     every = (1 << len(codes)) - 1
     half = max_len // 2
     ends = {}
@@ -274,11 +274,10 @@ def check_surviving(m, v_prime, max_len):
 
     step = [[scan(s, code) for code in codes] for s in range(3)]
     step.append([3] * len(codes))
-    counts = _state_counts(m.domain, max_len, False, step)
+    keep, add = steps = _steps(m.domain, False)
+    counts = _state_counts(steps, max_len, step)
     violations = []
     if counts[3]:
-        keep, add = _steps(m.domain, False)
-
         def children(blocked, s):
             return [
                 (c, blocked & keep[c] | add[c], step[s][c])

@@ -143,11 +143,17 @@ def _alphabet(g):
     the letters that end c's backward scan."""
     a = g._alphabet
     if a is None:
-        letters = tuple(Letter(v, s) for v in g.vertices for s in (1, -1))
+        letters = tuple([Letter(v, s) for v in g.vertices for s in (1, -1)])
         ids = {lt: c for c, lt in enumerate(letters)}
         stops, links = [], []
-        for i, v in enumerate(g.vertices):
-            link = sum(3 << 2 * g.index(u) for u in g.neighbors(v))
+        for i, m in enumerate(g._masks):
+            # Spread the neighbour mask to ids: the bit 1 << j of vertex j
+            # becomes 3 << 2 * j, which is 3 * (1 << j) ** 2.
+            link = 0
+            while m:
+                low = m & -m
+                m ^= low
+                link |= 3 * low * low
             stop = link | 3 << 2 * i
             stops += (stop, stop)
             links += (link, link)
@@ -300,13 +306,14 @@ def _steps(g, canonical):
     return keep, add
 
 
-def _word_count(g, max_len, canonical):
-    """The number of words in the walk of ``_words`` from the empty mask,
-    the empty word included, without walking them."""
-    return _state_counts(g, max_len, canonical, [[0] * 2 * len(g)])[0]
+def _word_count(steps, max_len):
+    """The number of words in the walk of ``_words`` with the step tables
+    ``steps`` from the empty mask, the empty word included, without
+    walking them."""
+    return _state_counts(steps, max_len, [[0] * len(steps[0])])[0]
 
 
-def _state_counts(g, max_len, canonical, step):
+def _state_counts(steps, max_len, step):
     """The number of words in each state in the walk of ``_words`` from the
     empty mask, the empty word included, without walking them. The empty
     word has state 0, and w + (c,) has state ``step[s][c]`` when w has
@@ -314,10 +321,11 @@ def _state_counts(g, max_len, canonical, step):
     words of each length are counted per state and blocked mask, level by
     level. From each state the ids are grouped by the state they lead to,
     so that each group steps the masks into one state's next level as
-    ``_steps`` says; the last level is counted by popcount per group."""
+    ``steps``, the tables of ``_steps``, say; the last level is counted
+    by popcount per group."""
     if max_len < 0:
         raise ValueError(f"negative bound {max_len}")
-    keep, add = _steps(g, canonical)
+    keep, add = steps
     groups = []
     for row in step:
         by_state = {}

@@ -75,7 +75,8 @@ def test_criterion_09_obstruction_and_searches():
 
 def test_criterion_10_tree_characterization():
     report = _check(acceptance.criterion_10)
-    assert report["details"]["trees"] == 95
+    assert report["details"]["trees"] == 2288
+    assert report["details"]["hairy"] == 1088
     assert report["details"]["example_ok"]
 
 

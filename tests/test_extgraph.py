@@ -30,6 +30,8 @@ from raagembed.graphs import (
 from raagembed.words import (
     Letter,
     _alphabet,
+    _inverse_ids,
+    _reduced_ids,
     canonical_words,
     commutator,
     commute_elements,
@@ -40,6 +42,7 @@ from raagembed.words import (
     support,
     word,
 )
+from test_graphs import is_independent, random_graphs, shuffled_trees
 from test_words import (
     _reference_normal_form,
     _reference_reduce,
@@ -74,6 +77,31 @@ def test_nontrivial_conjugate_support():
 def test_unknown_base_rejected():
     with pytest.raises(ValueError):
         ext_vertex(P5, "zz")
+
+
+def _long_route_vertex_ids(alphabet, v):
+    """``_vertex_ids`` without its generator short cut: the word x^-1 a x
+    reduced, then its support and reach read off letter by letter."""
+    conj = [alphabet.ids[lt] for lt in v.conjugator]
+    key = tuple(_inverse_ids(conj) + [alphabet.ids[Letter(v.base, 1)]] + conj)
+    support = reach = 0
+    for c in _reduced_ids(alphabet.stops, key):
+        support |= 3 << (c & ~1)
+        reach |= alphabet.stops[c]
+    return key, support, reach
+
+
+def test_generators_match_the_long_route():
+    graphs = list(random_graphs(19, 60)) + [P5, make_tripod(2, 2, 2)]
+    for g in graphs:
+        alphabet = _alphabet(g)
+        for b in g.vertices:
+            v = ext_vertex(g, b)
+            # b b^-1 is not empty, so it takes the route of the normal forms
+            long = ext_vertex(g, b, word(b, b + "^-1"))
+            assert (v.base, v.conjugator, v.key) == (long.base, long.conjugator, long.key)
+            assert (v.base, v.conjugator, v.key) == _reference_ext_vertex(g, b, ())
+            assert extgraph._vertex_ids(alphabet, v) == _long_route_vertex_ids(alphabet, v)
 
 
 def test_unknown_conjugator_letter_rejected():
@@ -442,6 +470,24 @@ def test_lex_first_max_independent_set():
     t2 = make_tripod(2, 2, 2)
     assert lex_first_max_independent_set(t2) == ("x", "a2", "b2", "c2")
     assert lex_first_max_independent_set(make_path(4)) == ("x1", "x3")
+    assert lex_first_max_independent_set(SimplicialGraph([])) == ()
+
+
+def _reference_max_independent_set(g):
+    """Brute-force reference: the first independent vertex tuple in
+    ``combinations`` order, largest size first."""
+    vs = g.vertices
+    for size in range(len(vs), 0, -1):
+        for combo in combinations(vs, size):
+            if is_independent(g, combo):
+                return combo
+    return ()
+
+
+def test_max_independent_set_matches_the_brute_force():
+    graphs = list(shuffled_trees(11, 3)) + list(random_graphs(17, 400))
+    for g in graphs:
+        assert lex_first_max_independent_set(g) == _reference_max_independent_set(g), g
 
 
 def _reference_enumerate(g, radius):

@@ -10,19 +10,19 @@ from raagembed.errors import GraphParseError
 from raagembed.graphs import (
     OBSTRUCTION_ROLES,
     SimplicialGraph,
+    _diameter_path,
     _tripod_wanted,
     _vertex_maps,
     all_trees,
     complement,
-    components,
     find_induced_embeddings,
     find_tripod_obstruction,
     format_graph,
     graph_to_json,
     induced,
     induced_maps,
+    is_connected,
     is_hairy_path,
-    is_independent,
     is_isomorphic,
     is_tree,
     make_cycle,
@@ -31,6 +31,115 @@ from raagembed.graphs import (
     parse_graph,
     remove,
 )
+
+
+def is_independent(g, vs):
+    """Brute-force reference: no pair of vs is adjacent."""
+    return not any(g.adjacent(u, v) for u, v in combinations(vs, 2))
+
+
+def components(g):
+    """Brute-force reference: the connected components as frozensets,
+    ordered by least vertex index, by a search over labels."""
+    seen = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def _reference_farthest(g, start):
+    """BFS over labels; farthest vertex from start (ties by canonical
+    order) and parents."""
+    dist = {start: 0}
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in sorted(g.neighbors(v), key=g.index):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    parent[u] = v
+                    nxt.append(u)
+        frontier = nxt
+    far = max(dist, key=lambda v: (dist[v], -g.index(v)))
+    return far, parent
+
+
+def _reference_diameter_path(g):
+    """Reference for ``_diameter_path``: double BFS over labels."""
+    a, _ = _reference_farthest(g, g.vertices[0])
+    b, parent = _reference_farthest(g, a)
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    if g.index(path[0]) > g.index(path[-1]):
+        path.reverse()
+    return path
+
+
+def shuffled_trees(max_n, orders, seed=0):
+    """Every tree with <= max_n vertices, each in ``orders`` seeded
+    shuffles of its vertex order."""
+    rng = random.Random(seed)
+    for n in range(1, max_n + 1):
+        for t in all_trees(n):
+            for _ in range(orders):
+                vs = list(t.vertices)
+                rng.shuffle(vs)
+                yield SimplicialGraph(vs, t.edges)
+
+
+def random_graphs(seed, count, max_n=10):
+    """Seeded graphs on 1..max_n vertices, edge densities from sparse to
+    dense, in shuffled vertex order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        labels = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.35, 0.5, 0.8))
+        edges = [e for e in combinations(labels, 2) if rng.random() < p]
+        rng.shuffle(labels)
+        yield SimplicialGraph(labels, edges)
+
+
+def test_masks_match_adjacency():
+    for g in list(random_graphs(11, 300)) + [make_path(1), make_cycle(5)]:
+        assert len(g._masks) == len(g)
+        for i, u in enumerate(g.vertices):
+            for j, v in enumerate(g.vertices):
+                assert (g._masks[i] >> j & 1) == (i != j and g.adjacent(u, v)), (g, u, v)
+
+
+def test_connectivity_matches_the_label_search():
+    graphs = list(random_graphs(12, 600)) + list(shuffled_trees(8, 1))
+    graphs.append(SimplicialGraph([]))
+    split = 0
+    for g in graphs:
+        connected = len(components(g)) == 1
+        assert is_connected(g) == connected, g
+        assert is_tree(g) == (connected and len(g.edges) == len(g) - 1), g
+        split += not connected
+    assert 100 < split < len(graphs) - 100
+
+
+def test_diameter_path_matches_the_label_search():
+    for t in shuffled_trees(11, 3):
+        assert is_tree(t)
+        got = [t.vertices[i] for i in _diameter_path(t._masks)]
+        assert got == _reference_diameter_path(t), t
 
 
 def test_make_path():

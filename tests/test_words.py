@@ -13,6 +13,7 @@ from raagembed.words import (
     _extend_reduced_ids,
     _normal_form_ids,
     _state_counts,
+    _steps,
     _word_count,
     canonical_words,
     check_lemma_comm1,
@@ -31,6 +32,7 @@ from raagembed.words import (
     support,
     word,
 )
+from test_graphs import random_graphs
 
 P5 = make_path(5)
 P4 = make_path(4)
@@ -167,6 +169,26 @@ def _random_graph(rng):
     edges = [(u, v) for u, v in combinations(labels, 2) if rng.random() < 0.5]
     rng.shuffle(labels)
     return SimplicialGraph(labels, edges)
+
+
+def _reference_alphabet(g):
+    """The id tables built from labels: each neighbour u of a vertex puts
+    both ids of u, 3 << 2 * index(u), into the vertex's link."""
+    letters = tuple(Letter(v, s) for v in g.vertices for s in (1, -1))
+    stops, links = [], []
+    for i, v in enumerate(g.vertices):
+        link = sum(3 << 2 * g.index(u) for u in g.neighbors(v))
+        stop = link | 3 << 2 * i
+        stops += (stop, stop)
+        links += (link, link)
+    ids = {lt: c for c, lt in enumerate(letters)}
+    return letters, ids, tuple(stops), tuple(links)
+
+
+def test_alphabet_tables_match_the_label_construction():
+    graphs = list(random_graphs(13, 200)) + [make_path(12), make_tripod(2, 2, 2)]
+    for g in graphs:
+        assert tuple(_alphabet(g)) == _reference_alphabet(g), g
 
 
 def _kernel_normal_form(g, w):
@@ -499,9 +521,9 @@ def test_word_count_equals_the_length_of_the_walk():
         for max_len in range(6):
             for canonical in (True, False):
                 walk = sum(1 for _ in _decoded_words(g, max_len, canonical))
-                assert _word_count(g, max_len, canonical) == walk, (g, max_len)
+                assert _word_count(_steps(g, canonical), max_len) == walk, (g, max_len)
     with pytest.raises(ValueError, match="negative"):
-        _word_count(P5, -1, True)
+        _word_count(_steps(P5, True), -1)
 
 
 def test_state_counts_split_the_walk_by_state():
@@ -520,7 +542,7 @@ def test_state_counts_split_the_walk_by_state():
                         counts[0] += 1
                     else:
                         counts[1 + (w[-1].sign < 0)] += 1
-                assert _state_counts(g, max_len, canonical, step) == counts, g
+                assert _state_counts(_steps(g, canonical), max_len, step) == counts, g
 
 
 def test_reduced_words_cover_all_reduced_representatives():
