@@ -22,14 +22,13 @@ from .graphs import (
     remove,
 )
 from .homs import (
-    GraphHom,
     GroupMap,
-    InducedHom,
     bounded_injectivity,
     check_relator_preservation,
     check_support_propagation,
     check_surviving,
     compose,
+    induced_map,
 )
 from .words import (
     format_word,
@@ -57,7 +56,6 @@ class MoveResult:
     group_map: GroupMap  # old graph's group -> new graph's group
     new_labels: tuple = ()  # labels created by the move, in path/hexagon order
     ext_witness: dict = None  # deg1k: old vertex -> ExtVertex over new graph
-    hom: GraphHom = None  # deg3: new graph -> old graph
 
     @property
     def new_graph(self):
@@ -65,10 +63,15 @@ class MoveResult:
 
     @property
     def renaming(self):
-        """deg3: old vertex -> new label, read off ``hom``."""
-        if self.hom is None:
+        """deg3: old vertex -> new label, read off the one-letter images of
+        ``group_map``."""
+        if self.kind != "deg3":
             return None
-        return {old: new for new, old in self.hom.mapping.items() if new not in self.new_labels}
+        return {
+            old: image[0].base
+            for old, image in self.group_map.images.items()
+            if old != self.vertex
+        }
 
     def to_json(self):
         out = {
@@ -209,17 +212,15 @@ def move_deg3(g, x):
 
     mapping = {renaming[v]: v for v in renaming}
     mapping.update({x1: x, x2: x, x3: x})
-    hom = GraphHom(new_graph, g, mapping)
-    ind = InducedHom(hom)
-    if not check_relator_preservation(ind):
+    group_map = induced_map(new_graph, g, mapping)
+    if not check_relator_preservation(group_map):
         raise InvariantViolation("hexagon replacement broke a commuting pair")
     return MoveResult(
         kind="deg3",
         vertex=x,
         k=3,
-        group_map=ind,
+        group_map=group_map,
         new_labels=(x1, x2, x3),
-        hom=hom,
     )
 
 
@@ -242,10 +243,9 @@ def deg3_claim_reports(move, length=5):
 
     g1p = remove(g1, {a})
     g2p = remove(g2, {a1})
-    restricted = GraphHom(
-        g2p, g1p, {v: move.hom(v) for v in g2p.vertices}
-    )
-    phi1 = InducedHom(restricted)
+    # every fiber other than a's misses a1, so each image survives as is
+    images = move.group_map.images
+    phi1 = GroupMap(g1p, g2p, {v: images[v] for v in g1p.vertices})
 
     keep_alive = {}
     for v in g2p.vertices:
@@ -281,13 +281,17 @@ def _deg1k_candidate(g):
 
 @dataclass
 class PipelineResult:
-    stages: list
     moves: list
     composite: GroupMap
     external: dict
     ends_in_cycle12: bool
     relators_preserved: bool
     injectivity: dict
+
+    @property
+    def stages(self):
+        """The tripod, then the graph after each move."""
+        return [self.moves[0].group_map.domain] + [m.new_graph for m in self.moves]
 
     def chain_description(self):
         names = ["tripod T(2,2,2)"]
@@ -348,7 +352,6 @@ def build_t2_pipeline(length):
         raise InvariantViolation("pipeline did not reach the 12-cycle cleanly")
     inj = bounded_injectivity(chain, length)
     return PipelineResult(
-        stages=[t2] + [m.new_graph for m in moves],
         moves=moves,
         composite=chain,
         external=dict(EXTERNAL_CYCLE_TO_PATH),
@@ -360,10 +363,13 @@ def build_t2_pipeline(length):
 
 @dataclass
 class HairyWitness:
-    n: int
     path: SimplicialGraph
     assignment: dict  # tree vertex -> ExtVertex over the path
     decomposition: object
+
+    @property
+    def n(self):
+        return len(self.path)
 
     def to_json(self):
         return {
@@ -412,7 +418,7 @@ def hairy_witness(t):
         raise InvariantViolation("hairy witness does not induce the tree")
     if n != dec.m + 2 * dec.total_hairs:
         raise InvariantViolation("path length disagrees with spine plus hair count")
-    return HairyWitness(n=n, path=path, assignment=assignment, decomposition=dec)
+    return HairyWitness(path=path, assignment=assignment, decomposition=dec)
 
 
 def obstruction_holds(g, roles):

@@ -185,8 +185,16 @@ def is_connected(g):
     return len(g) > 0 and sum(_levels(g._masks, 0)) == (1 << len(g)) - 1
 
 
+def _tree_levels(g):
+    """The breadth-first levels from vertex 0 when g is a tree, else None."""
+    if len(g.edges) != len(g) - 1:
+        return None
+    levels = _levels(g._masks, 0)
+    return levels if sum(levels) == (1 << len(g)) - 1 else None
+
+
 def is_tree(g):
-    return len(g.edges) == len(g) - 1 and is_connected(g)
+    return _tree_levels(g) is not None
 
 
 def induced_maps(wanted, order, domains, row):
@@ -287,13 +295,14 @@ def _least(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _diameter_path(masks):
+def _diameter_path(masks, levels):
     """A longest path of a tree, as vertex indices, by double BFS: from
-    vertex 0 to the least vertex a of its last level, from a to the least
-    vertex b of its last level, then back from b through a's levels, each
-    step to the one neighbour in the level before. In a tree the path is
-    induced. It runs from its lower-indexed end."""
-    a = _least(_levels(masks, 0)[-1])
+    vertex 0, whose breadth-first ``levels`` the caller has, to the least
+    vertex a of its last level, from a to the least vertex b of its last
+    level, then back from b through a's levels, each step to the one
+    neighbour in the level before. In a tree the path is induced. It runs
+    from its lower-indexed end."""
+    a = _least(levels[-1])
     levels = _levels(masks, a)
     path = [_least(levels[-1])]
     for level in reversed(levels[:-1]):
@@ -310,10 +319,11 @@ def is_hairy_path(t):
     legs of length two: every vertex off a longest path must then be a
     leaf hanging from an interior spine vertex.
     """
-    if not is_tree(t):
+    levels = _tree_levels(t)
+    if levels is None:
         raise ValueError("input graph is not a tree")
     vs, masks = t.vertices, t._masks
-    spine = _diameter_path(masks)
+    spine = _diameter_path(masks, levels)
     on_spine = sum(1 << i for i in spine)
     interior = on_spine & ~(1 << spine[0] | 1 << spine[-1])
     hairs = {i: [] for i in spine}

@@ -1,4 +1,5 @@
-"""Graph homomorphisms and the group homomorphisms they induce.
+"""Group maps given by generator images, the maps that vertex maps
+induce, and the bounded checks on them.
 
 A vertex map between graphs that carries edges to edges sends each
 generator of the target's group to the product of its preimage fiber;
@@ -26,37 +27,6 @@ from .words import (
     format_word,
     inverse,
 )
-
-
-class GraphHom:
-    """Vertex map source -> target."""
-
-    __slots__ = ("source", "target", "mapping")
-
-    def __init__(self, source, target, mapping):
-        for v in source.vertices:
-            if v not in mapping:
-                raise ValueError(f"no image for source vertex {v!r}")
-        for v, w in mapping.items():
-            if v not in source:
-                raise ValueError(f"unknown source vertex {v!r}")
-            if w not in target:
-                raise ValueError(f"unknown target vertex {w!r}")
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
-
-    def __call__(self, v):
-        return self.mapping[v]
-
-    def fiber(self, w):
-        """Preimage of a target vertex, in canonical source order."""
-        return tuple(v for v in self.source.vertices if self.mapping[v] == w)
-
-
-def check_graph_hom(h):
-    """True iff every source edge maps to a target edge."""
-    return all(h.target.adjacent(h(u), h(v)) for u, v in h.source.edges)
 
 
 class GroupMap:
@@ -94,21 +64,24 @@ class GroupMap:
         return tuple(out)
 
 
-class InducedHom(GroupMap):
-    """The group homomorphism induced by a graph homomorphism: each
-    generator of the target graph's group maps to the ordered product of
-    its fiber (the identity when the fiber is empty)."""
-
-    __slots__ = ()
-
-    def __init__(self, hom):
-        if not check_graph_hom(hom):
-            raise ValueError("vertex map does not carry edges to edges")
-        images = {
-            w: tuple(Letter(v, 1) for v in hom.fiber(w))
-            for w in hom.target.vertices
-        }
-        super().__init__(hom.target, hom.source, images)
+def induced_map(source, target, mapping):
+    """The ``GroupMap`` target -> source induced by a vertex map source ->
+    target that carries edges to edges: each target generator goes to
+    the product of its fiber, the identity when the fiber is empty."""
+    for v in source.vertices:
+        if v not in mapping:
+            raise ValueError(f"no image for source vertex {v!r}")
+    for v, w in mapping.items():
+        if v not in source:
+            raise ValueError(f"unknown source vertex {v!r}")
+        if w not in target:
+            raise ValueError(f"unknown target vertex {w!r}")
+    if not all(target.adjacent(mapping[u], mapping[v]) for u, v in source.edges):
+        raise ValueError("vertex map does not carry edges to edges")
+    fibers = {w: [] for w in target.vertices}
+    for v in source.vertices:
+        fibers[mapping[v]].append(Letter(v, 1))
+    return GroupMap(target, source, fibers)
 
 
 def compose(outer, inner):

@@ -140,6 +140,18 @@ def test_move_commands(capsys, tmp_path, t2_file):
     assert run(["move-deg3", "--graph", t2_file, "--vertex", "x"]) == 0
     out = capsys.readouterr().out
     assert "x -> x1 x2 x3" in out
+    t2 = tmp_path / "t2.txt"
+    t2.write_text(
+        "vertices: p a x b q c r\n"
+        "edge: p a\nedge: a x\nedge: x b\nedge: b q\nedge: x c\nedge: c r\n"
+    )
+    m3 = tmp_path / "m3.json"
+    assert run(["move-deg3", "--graph", str(t2), "--vertex", "x", "--out", str(m3)]) == 0
+    capsys.readouterr()
+    r = json.loads(m3.read_text())
+    assert r["k"] == 3 and r["relators_preserved"] is True
+    assert r["renaming"] == {v: v + "1" for v in "pabqcr"}
+    assert r["generator_images"] == {**{v: v + "1" for v in "pabqcr"}, "x": "x1 x2 x3"}
     leafy = tmp_path / "leafy.graph"
     leafy.write_text(
         "vertices: b2 b x c c2 a1\n"

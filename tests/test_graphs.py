@@ -11,6 +11,7 @@ from raagembed.graphs import (
     OBSTRUCTION_ROLES,
     SimplicialGraph,
     _diameter_path,
+    _tree_levels,
     _tripod_wanted,
     _vertex_maps,
     all_trees,
@@ -138,7 +139,7 @@ def test_connectivity_matches_the_label_search():
 def test_diameter_path_matches_the_label_search():
     for t in shuffled_trees(11, 3):
         assert is_tree(t)
-        got = [t.vertices[i] for i in _diameter_path(t._masks)]
+        got = [t.vertices[i] for i in _diameter_path(t._masks, _tree_levels(t))]
         assert got == _reference_diameter_path(t), t
 
 
@@ -388,8 +389,12 @@ def test_is_hairy_path():
     p7 = make_path(7)
     dec = is_hairy_path(p7)
     assert dec.spine == p7.vertices and not dec.hairs
-    with pytest.raises(ValueError):
-        is_hairy_path(make_cycle(4))
+    # a cycle, the empty graph, and a triangle beside a lone vertex
+    # (one edge fewer than vertices, yet not connected)
+    triangle = SimplicialGraph(["u", "v", "w", "z"], [("u", "v"), ("v", "w"), ("w", "u")])
+    for g in (make_cycle(4), SimplicialGraph([], []), triangle):
+        with pytest.raises(ValueError, match="input graph is not a tree"):
+            is_hairy_path(g)
 
 
 def test_tripod_obstruction_on_the_tripod():

@@ -3,24 +3,23 @@ from itertools import combinations
 
 import pytest
 
-from raagembed.constructions import move_deg3, t2_graph
+from raagembed.constructions import deg3_claim_reports, move_deg3, t2_graph
 from raagembed.graphs import (
     SimplicialGraph,
+    all_trees,
     make_cycle,
     make_path,
     make_tripod,
     remove,
 )
 from raagembed.homs import (
-    GraphHom,
     GroupMap,
-    InducedHom,
     bounded_injectivity,
-    check_graph_hom,
     check_relator_preservation,
     check_support_propagation,
     check_surviving,
     compose,
+    induced_map,
 )
 from raagembed.words import (
     Letter,
@@ -43,31 +42,114 @@ P5 = make_path(5)
 
 
 def identity_hom(g):
-    return InducedHom(GraphHom(g, g, {v: v for v in g.vertices}))
+    return induced_map(g, g, {v: v for v in g.vertices})
 
 
 def kill_generators(g, kill):
     """Retraction onto the group of the graph minus ``kill``: those
     generators map to the identity, everything else to itself."""
     sub = remove(g, kill)
-    return InducedHom(GraphHom(sub, g, {v: v for v in sub.vertices}))
+    return induced_map(sub, g, {v: v for v in sub.vertices})
 
 
-def test_check_graph_hom_identity_and_collapse():
-    assert check_graph_hom(GraphHom(P5, P5, {v: v for v in P5.vertices}))
+def collapse(move):
+    """The hexagon move's vertex map new graph -> old graph, read off the
+    letters of its generator images."""
+    return {
+        lt.base: v for v, image in move.group_map.images.items() for lt in image
+    }
+
+
+def restricted_phi1(move, g1p, g2p):
+    """The hexagon move's map between the graphs with a and a1 removed."""
+    c = collapse(move)
+    return induced_map(g2p, g1p, {v: c[v] for v in g2p.vertices})
+
+
+def test_induced_map_identity_and_refusals():
+    assert identity_hom(P5).images == {v: word(v) for v in P5.vertices}
+    identity = {v: v for v in P5.vertices}
+    with pytest.raises(ValueError, match="no image for source vertex 'x3'"):
+        induced_map(P5, P5, {v: v for v in P5.vertices if v != "x3"})
+    with pytest.raises(ValueError, match="unknown source vertex 'zz'"):
+        induced_map(P5, P5, {**identity, "zz": "x1"})
+    with pytest.raises(ValueError, match="unknown target vertex 'zz'"):
+        induced_map(P5, P5, {**identity, "x5": "zz"})
     # collapsing an edge onto one endpoint would need a loop
-    squash = {v: v for v in P5.vertices}
-    squash["x2"] = "x1"
-    assert not check_graph_hom(GraphHom(P5, P5, squash))
+    with pytest.raises(ValueError, match="vertex map does not carry edges to edges"):
+        induced_map(P5, P5, {**identity, "x2": "x1"})
 
 
 def test_deg3_vertex_map_is_a_hom_with_independent_fibers():
-    move = move_deg3(t2_graph(), "x")
-    assert check_graph_hom(move.hom)
-    fiber = move.hom.fiber("x")
-    assert fiber == ("x1", "x2", "x3")
+    t2 = t2_graph()
+    move = move_deg3(t2, "x")
+    # induced_map refuses a vertex map that is not a graph homomorphism
+    again = induced_map(move.new_graph, t2, collapse(move))
+    assert again.images == move.group_map.images
+    fiber = [lt.base for lt in move.group_map.images["x"]]
+    assert fiber == ["x1", "x2", "x3"]
     for u, v in combinations(fiber, 2):
         assert not move.new_graph.adjacent(u, v)
+
+
+def _fiber_products(source, target, mapping):
+    """The group map target -> source that sends each target vertex to
+    the product of its fiber under ``mapping``, in source order."""
+    return GroupMap(target, source, {
+        w: tuple(Letter(v, 1) for v in source.vertices if mapping[v] == w)
+        for w in target.vertices
+    })
+
+
+def _reference_hexagon(g, x, new_graph):
+    """The hexagon move's vertex map new graph -> g by position: the new
+    vertices are g's in order, with x replaced by three. Returns the
+    vertex map, its fiber products, and the renaming of the other
+    vertices."""
+    i = g.index(x)
+    old = list(g.vertices)
+    old[i:i + 1] = [x] * 3
+    mapping = dict(zip(new_graph.vertices, old))
+    assert all(g.adjacent(mapping[u], mapping[v]) for u, v in new_graph.edges)
+    renaming = {w: v for v, w in mapping.items() if w != x}
+    return mapping, _fiber_products(new_graph, g, mapping), renaming
+
+
+def _reference_claims(g, x, move, mapping, full, renaming, length):
+    a = min(g.neighbors(x), key=g.index)
+    a1 = renaming[a]
+    _, x2, x3 = move.new_labels
+    g1p = remove(g, {a})
+    g2p = remove(move.new_graph, {a1})
+    phi1 = _fiber_products(g2p, g1p, mapping)
+    return {
+        "dropped": a,
+        "restricted_surviving": {
+            v: check_surviving(phi1, v, length)
+            for v in g2p.vertices
+            if v not in (x2, x3)
+        },
+        "support_propagation": check_support_propagation(phi1, x, {x2, x3}, length),
+        "full_surviving": check_surviving(full, a1, length),
+    }
+
+
+def test_hexagon_moves_equal_the_vertex_map_reference():
+    moves = 0
+    for n in range(4, 10):
+        for t in all_trees(n):
+            for x in t.vertices:
+                if t.degree(x) != 3:
+                    continue
+                move = move_deg3(t, x)
+                mapping, full, renaming = _reference_hexagon(t, x, move.new_graph)
+                assert move.group_map.images == full.images, (t, x)
+                assert move.renaming == renaming, (t, x)
+                assert deg3_claim_reports(move, 3) == _reference_claims(
+                    t, x, move, mapping, full, renaming, 3
+                ), (t, x)
+                moves += 1
+    assert moves == 83
 
 
 def test_apply_induced_examples():
@@ -105,9 +187,7 @@ def test_killing_the_new_vertices_undoes_the_hexagon_move():
     move = move_deg3(t2, "x")
     g1p = remove(t2, {"a"})
     g2p = remove(move.new_graph, {"a1"})
-    phi1 = InducedHom(
-        GraphHom(g2p, g1p, {v: move.hom(v) for v in g2p.vertices})
-    )
+    phi1 = restricted_phi1(move, g1p, g2p)
     x1, x2, x3 = move.new_labels
     iota = kill_generators(g2p, {x2, x3})
     both = compose(iota, phi1)
@@ -456,9 +536,7 @@ def test_support_propagation_on_the_hexagon_instance():
     move = move_deg3(t2, "x")
     g1p = remove(t2, {"a"})
     g2p = remove(move.new_graph, {"a1"})
-    phi1 = InducedHom(
-        GraphHom(g2p, g1p, {v: move.hom(v) for v in g2p.vertices})
-    )
+    phi1 = restricted_phi1(move, g1p, g2p)
     report = check_support_propagation(phi1, "x", {"x2", "x3"}, 3)
     assert report["violations"] == []
     assert report["checked"] > 0
