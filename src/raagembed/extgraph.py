@@ -38,14 +38,22 @@ class ExtVertex:
     ``key`` is the normal form of the whole element and is the equality
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element.
+
+    A vertex built by ``ext_vertex`` also keeps a tag: ``_alphabet``, the
+    id tables of the graph that built it, and ``_a``, the id of its base
+    there. They are references, not ids or masks of the vertex, and
+    ``_vertex_ids`` trusts them only for that one alphabet object. A
+    vertex built any other way has ``_alphabet`` None.
     """
 
-    __slots__ = ("base", "conjugator", "key")
+    __slots__ = ("base", "conjugator", "key", "_alphabet", "_a")
 
-    def __init__(self, base, conjugator, key):
+    def __init__(self, base, conjugator, key, alphabet=None, a=0):
         self.base = base
         self.conjugator = conjugator
         self.key = key
+        self._alphabet = alphabet
+        self._a = a
 
     @property
     def radius(self):
@@ -70,13 +78,25 @@ def _vertex_ids(alphabet, v):
     """v = a^(x) in the letter ids of ``alphabet``: the triple (the ids of
     the word x^-1 a x, the id mask of its support, that mask plus the
     neighbours of every support vertex), masks taking both signs of a
-    vertex. The support is read off the word reduced here, so it is right
-    for any graph on v's labels, not only the one that built v. A label
-    that is not on the graph raises ValueError. A generator a is its own
-    reduced word, with support a and reach ``stops[a]``."""
+    vertex. A generator a is its own reduced word, with support a and
+    reach ``stops[a]``.
+
+    On the alphabet whose graph built v (``v._alphabet is alphabet``),
+    ``ext_vertex`` has proved x^-1 a x reduced, so the support is {a}
+    with the letters of x: only x is encoded, and a is read off the tag.
+    On any other alphabet, even that of an equal graph, the support is
+    read off the word reduced here, so it is right for any graph on v's
+    labels. A label that is not on the graph raises ValueError."""
     ids, stops = alphabet.ids, alphabet.stops
     try:
         conj = [ids[lt] for lt in v.conjugator]
+        if v._alphabet is alphabet:
+            a = v._a
+            support, reach = 3 << a, stops[a]
+            for c in conj:
+                support |= 3 << (c & ~1)
+                reach |= stops[c]
+            return tuple(_inverse_ids(conj) + [a] + conj), support, reach
         a = ids[Letter(v.base, 1)]
     except KeyError as exc:
         raise ValueError(f"unknown letter {exc.args[0]!r}") from None
@@ -118,16 +138,16 @@ def ext_vertex(g, base, w=()):
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
-    if not w:
-        return ExtVertex(base, (), (Letter(base, 1),))
     alphabet = _alphabet(g)
+    a = 2 * g.index(base)
+    if not w:
+        return ExtVertex(base, (), (alphabet.letters[a],), alphabet, a)
     stops, links = alphabet.stops, alphabet.links
     u = _normal_form_ids(stops, _encode(alphabet, w))
     # A letter is kept when it is in the link of a or blocked by a letter
     # kept before it; any other letter shuffles to the front and commutes
     # with a. Stripping a letter changes no earlier letter's test, so one
     # pass strips all that rescanning would.
-    a = 2 * g.index(base)
     link = links[a]
     conj = []
     blocked = 0
@@ -138,7 +158,7 @@ def ext_vertex(g, base, w=()):
     if len(conj) < len(u):
         conj = _normal_form_ids(stops, conj)
     key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
-    return ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key))
+    return ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key), alphabet, a)
 
 
 def format_ext_vertex(v):
@@ -255,8 +275,8 @@ def _pool(g, radius):
         a = 2 * i
         w = _inverse_ids(x) + [a, *x]
         key = tuple(_conjugate_key(alphabet, w))
-        # The loop of ``_vertex_ids``, on a word known to be reduced; a
-        # shared helper would cost ``ext_adjacent`` two calls per pair,
+        # The loop of ``_vertex_ids``' home path, x^-1 a x being reduced;
+        # a shared helper would cost ``ext_adjacent`` two calls per pair,
         # and its one call per pool vertex here put the ``ext_search``
         # benchmark's ``latency_tail_ms`` up 4% in paired runs.
         support, reach = 3 << a, stops[a]
@@ -268,7 +288,9 @@ def _pool(g, radius):
 
 
 def _decode_vertex(g, alphabet, record):
-    """The ``ExtVertex`` of a ``_pool`` record."""
+    """The ``ExtVertex`` of a ``_pool`` record, untagged: the search's
+    check of a decoded witness then re-derives every triple from the
+    decoded letters alone."""
     i, x, key, _ = record
     return ExtVertex(g.vertices[i], _decode(alphabet, x), _decode(alphabet, key))
 

@@ -143,7 +143,9 @@ def _alphabet(g):
     the letters that end c's backward scan."""
     a = g._alphabet
     if a is None:
-        letters = tuple([Letter(v, s) for v in g.vertices for s in (1, -1)])
+        # ``_make`` skips the Python-level ``__new__`` of the namedtuple.
+        make = Letter._make
+        letters = tuple([make((v, s)) for v in g.vertices for s in (1, -1)])
         ids = {lt: c for c, lt in enumerate(letters)}
         stops, links = [], []
         for i, m in enumerate(g._masks):

@@ -163,22 +163,61 @@ def _reference_ext_vertex(g, base, w):
     return base, conj, key
 
 
-def test_ext_vertex_matches_the_reference():
+def _seeded_ext_vertex_inputs():
+    """(g, base, w) for ``ext_vertex``: seeded words of length 0 to 8 over
+    paths, cycles and random graphs, most of them unreduced or stripped."""
     rng = random.Random(5)
     graphs = [make_path(n) for n in range(5, 9)]
     graphs += [make_cycle(5), make_cycle(6)]
     graphs += [_random_graph(rng, rng.randint(4, 7)) for _ in range(4)]
-    stripped = 0
     for g in graphs:
         letters = [Letter(a, s) for a in g.vertices for s in (1, -1)]
         for _ in range(300):
             base = rng.choice(g.vertices)
-            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
-            want = _reference_ext_vertex(g, base, w)
-            v = ext_vertex(g, base, w)
-            assert (v.base, v.conjugator, v.key) == want, (g, base, w)
-            stripped += len(want[1]) < len(normal_form(g, w))
+            yield g, base, tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+
+
+def test_ext_vertex_matches_the_reference():
+    stripped = 0
+    for g, base, w in _seeded_ext_vertex_inputs():
+        want = _reference_ext_vertex(g, base, w)
+        v = ext_vertex(g, base, w)
+        assert (v.base, v.conjugator, v.key) == want, (g, base, w)
+        stripped += len(want[1]) < len(normal_form(g, w))
     assert stripped > 500
+
+
+def _untagged(v):
+    return ExtVertex(v.base, v.conjugator, v.key)
+
+
+def _assert_tag_matches_the_full_route(g, v):
+    """v was built on g: ``_vertex_ids`` reads its tag there, and must
+    give what the full route gives for the untagged copy."""
+    alphabet = _alphabet(g)
+    assert v._alphabet is alphabet and alphabet.letters[v._a] == Letter(v.base, 1)
+    assert extgraph._vertex_ids(alphabet, v) == extgraph._vertex_ids(
+        alphabet, _untagged(v)
+    ), v
+
+
+def test_tagged_vertex_ids_match_the_full_route_on_any_conjugator():
+    # Inputs that strip letters or arrive unreduced: the home path reads
+    # the stored conjugator, never w.
+    for g, base, w in [
+        (P5, "x1", word("x3")),
+        (P5, "x1", word("x2", "x5")),
+        (P5, "x1", word("x2", "x2^-1")),
+        (P5, "x2", word("x1", "x3", "x1^-1", "x5")),
+    ]:
+        _assert_tag_matches_the_full_route(g, ext_vertex(g, base, w))
+    unreduced = stripped = 0
+    for g, base, w in _seeded_ext_vertex_inputs():
+        v = ext_vertex(g, base, w)
+        _assert_tag_matches_the_full_route(g, v)
+        unreduced += not is_reduced(g, w)
+        stripped += len(v.conjugator) < len(normal_form(g, w))
+    assert unreduced > 500 and stripped > 500
 
 
 def _reference_ext_adjacent(g, u, v):
@@ -258,18 +297,35 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder():
     # A vertex may be asked about in an equal graph with another vertex
     # order, or in another graph on the same labels; the answer must be
     # that graph's. C5 has one more edge than P5, so a key reduced over C5
-    # need not be reduced over P5: x1^(x5) is x1 there.
+    # need not be reduced over P5: x1^(x5) is x1 there. An equal graph
+    # that is another object gets the full route too: a vertex's tag is
+    # trusted only on the alphabet object it names.
     c5 = make_cycle(5)
     for g, other in ((P5, c5), (c5, P5)):
         shuffled = SimplicialGraph(["x3", "x1", "x5", "x2", "x4"], g.edges)
+        equal_graph = SimplicialGraph(g.vertices, g.edges)
         sample = enumerate_vertices(g, 2)[::3]
         for u in sample:
             for v in sample:
                 want = _reference_ext_adjacent(g, u, v)
                 assert ext_adjacent(g, u, v) == want
                 assert ext_adjacent(shuffled, u, v) == want
+                assert ext_adjacent(equal_graph, u, v) == want
                 assert ext_adjacent(g, u, v) == want
                 assert ext_adjacent(other, u, v) == _reference_ext_adjacent(other, u, v)
+        # A tag naming g's alphabet with a wrong base id is read on g and
+        # ignored on the equal graph, which answers from the letters.
+        alphabet = _alphabet(equal_graph)
+        assert alphabet is not _alphabet(g)
+        for u in sample:
+            wrong = (u._a + 2) % (2 * len(g))
+            forged = ExtVertex(u.base, u.conjugator, u.key, u._alphabet, wrong)
+            assert extgraph._vertex_ids(alphabet, forged) == extgraph._vertex_ids(
+                alphabet, _untagged(u)
+            )
+            assert extgraph._vertex_ids(_alphabet(g), forged) != extgraph._vertex_ids(
+                _alphabet(g), u
+            )
     x1, x1_x5 = ext_vertex(c5, "x1"), ext_vertex(c5, "x1", word("x5"))
     assert ext_adjacent(c5, x1, x1_x5)
     assert not ext_adjacent(P5, x1, x1_x5)
@@ -555,10 +611,21 @@ def test_enumerate_vertices_matches_the_reference(g, radius):
     "g,radius",
     [pytest.param(g, r, id=name) for name, g, r in _enumeration_cases()],
 )
+def test_tagged_vertex_ids_match_the_full_route(g, radius):
+    for v in enumerate_vertices(g, radius):
+        _assert_tag_matches_the_full_route(g, v)
+
+
+@pytest.mark.parametrize(
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _enumeration_cases()],
+)
 def test_pool_records_match_the_vertex_route(g, radius):
     alphabet = _alphabet(g)
     for record in extgraph._pool(g, radius):
         v = extgraph._decode_vertex(g, alphabet, record)
+        # Decoded vertices are untagged, so this is the full route.
+        assert v._alphabet is None
         assert record[3] == extgraph._vertex_ids(alphabet, v), v
         rebuilt = ext_vertex(g, v.base, v.conjugator)
         assert (rebuilt.key, rebuilt.conjugator) == (v.key, v.conjugator), v
@@ -687,10 +754,13 @@ def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found, lea
 
 
 def test_search_checks_the_witness_it_decodes(monkeypatch):
+    # Decoded vertices are untagged (test_pool_records_match_the_vertex_route),
+    # so the check re-derives every triple from the decoded letters; the
+    # forged ones are untagged too.
     decode = extgraph._decode_vertex
 
     def drops_the_conjugator(g, alphabet, record):
-        return ext_vertex(g, decode(g, alphabet, record).base)
+        return _untagged(ext_vertex(g, decode(g, alphabet, record).base))
 
     monkeypatch.setattr(extgraph, "_decode_vertex", drops_the_conjugator)
     with pytest.raises(InvariantViolation, match="decoded witness disagrees"):
