@@ -196,16 +196,30 @@ def ext_adjacent(g, u, v):
 
 
 def _adjacent_ids(alphabet, iu, iv):
-    """Whether two distinct vertices, given as ``_vertex_ids`` triples,
-    do not commute: the one pair routine on ids.
+    """Whether two vertices with distinct keys, given as ``_vertex_ids``
+    triples, do not commute: the one pair routine on ids. Vertices built
+    on another graph may have distinct keys and still be one element
+    here (x1 and x1^(x5) built on C5 are both x1 over P5).
 
     Write u = a^(x) with the shorter conjugator and v = b^(y); a and x
-    are read off the triple's word x^-1 a x. Conjugating both by x^-1
-    turns u into a and v into the reduced word z of x y^-1 b y x^-1, so
-    they commute iff the link of a misses the support of z. When u is a
-    generator, z is v's word, whose support is known. When no vertex of
-    u's support meets or neighbours one of v's, every letter pair
-    commutes and no reduction runs either.
+    are read off the triple's word x^-1 a x, and b is the middle id of
+    v's. When no vertex of u's support meets or neighbours one of v's,
+    every letter pair commutes. When b neighbours a, they do not
+    commute: conjugating by x^-1 turns u into a and v into b^(z), with
+    z = y x^-1. If these commuted, b^(z) would lie in the centraliser of
+    a, which is the subgroup on the star of a: a with the vertices not
+    adjacent to it (Servatius 1989). The retraction onto that subgroup,
+    sending every other generator to 1, would fix b^(z) and, b being off
+    the star, send it to 1; but a conjugate of a generator is not 1. On
+    b = a, a^(z) would be a^m w with w on the star of a less a; the
+    retraction onto that smaller star sends a^(z) to 1 and a^m w to w,
+    so w = 1, and the exponent sum of a gives m = 1: two commuting
+    vertices on one base are one element. Distinct keys need not be
+    distinct elements here, so that rule is left to ``_pool_rows``.
+    Otherwise conjugating by x^-1 turns v into the reduced word z of
+    x y^-1 b y x^-1, and the two commute iff the link of a misses the
+    support of z. When u is a generator, z is v's word, whose support is
+    known. No reduction runs in the first three cases.
     """
     if len(iv[0]) < len(iu[0]):
         iu, iv = iv, iu
@@ -215,6 +229,8 @@ def _adjacent_ids(alphabet, iu, iv):
         return False
     k = len(ku) >> 1
     link = alphabet.links[ku[k]]
+    if link >> kv[len(kv) >> 1] & 1:
+        return True
     if not k:
         return bool(link & support)
     # x is reduced in the graph that built u, not necessarily in this one,
@@ -418,27 +434,36 @@ def _pool_rows(g, pool):
     (``_pool`` keeps only reduced x^-1 a x). Two vertices whose supports
     neither meet nor neighbour commute, and a generator is adjacent to a
     vertex exactly when it neighbours that vertex's support: the two
-    facts ``_adjacent_ids`` answers first. So one pass over the records
-    builds, per vertex b of g, the mask of the pool vertices whose support
-    holds b. The pool starts with the generators in vertex order, so a
-    generator's pool index is its vertex index: a generator's row is the
-    OR of those masks over its link, and the generator part of another
-    vertex's row is the mask of the vertices that neighbour its support.
-    Only the non-generators in the OR of the masks over its support and
-    those neighbours go through ``_adjacent_ids``, when a row asks for
-    them, each pair once, written into both rows.
+    facts ``_adjacent_ids`` answers first. The records are distinct
+    elements of g, so two of them on equal or adjacent bases do not
+    commute (the base rule of ``_adjacent_ids``, whose equal-base half
+    needs the elements distinct). So one pass over the records builds,
+    per vertex b of g, the mask of the pool vertices whose support holds
+    b and the mask of those on base b. The pool starts with the
+    generators in vertex order, so a generator's pool index is its vertex
+    index: a generator's row is the OR of the support masks over its
+    link, and the generator part of another vertex's row is the mask of
+    the vertices that neighbour its support. A non-generator's row also
+    takes, by the base masks, every other vertex on its base or on a
+    neighbour of it. Only the non-generators on other bases in the OR of
+    the support masks over its support and those neighbours go through
+    ``_adjacent_ids``, when a row asks for them, each pair once, written
+    into both rows.
     """
     alphabet = _alphabet(g)
     n = len(g)
     nbrs = g._masks
     # The bits are set in byte arrays, so that the pass is linear in the pool.
     holders = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
+    bases = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
     for d, (i, x, _, _) in enumerate(pool):
         byte, bit = d >> 3, 1 << (d & 7)
         holders[i][byte] |= bit
+        bases[i][byte] |= bit
         for c in x:
             holders[c >> 1][byte] |= bit
     by_vertex = [int.from_bytes(h, "little") for h in holders]
+    by_base = [int.from_bytes(h, "little") for h in bases]
     ids = [r[3] for r in pool]
     others = ~((1 << n) - 1)
     # Per pool vertex: the mask of those adjacent to it found so far, the
@@ -464,8 +489,12 @@ def _pool_rows(g, pool):
             if d < n:
                 adj[d], todo = reach, 0
             else:
-                adj[d] |= near
-                todo = reach & others & ~(1 << d)
+                same = by_base[i]
+                for b in _bits(nbrs[i]):
+                    same |= by_base[b]
+                same &= others
+                adj[d] |= near | same & ~(1 << d)
+                todo = reach & others & ~same
             maybe[d] = todo
         todo &= mask & ~known[d]
         if todo:

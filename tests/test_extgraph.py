@@ -293,7 +293,20 @@ def test_ext_adjacent_matches_the_reference_on_seeded_pairs(g, radius):
     assert 0 < adjacent < len(pairs)
 
 
-def test_ext_adjacent_on_a_graph_other_than_the_builder():
+def _counting_reductions(monkeypatch):
+    """The calls of the pair routine's reduction, counted in a list."""
+    calls = []
+    extend = extgraph._extend_reduced_ids
+
+    def counting(stops, out, w):
+        calls.append(w)
+        return extend(stops, out, w)
+
+    monkeypatch.setattr(extgraph, "_extend_reduced_ids", counting)
+    return calls
+
+
+def test_ext_adjacent_on_a_graph_other_than_the_builder(monkeypatch):
     # A vertex may be asked about in an equal graph with another vertex
     # order, or in another graph on the same labels; the answer must be
     # that graph's. C5 has one more edge than P5, so a key reduced over C5
@@ -330,6 +343,27 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder():
     assert ext_adjacent(c5, x1, x1_x5)
     assert not ext_adjacent(P5, x1, x1_x5)
     assert not ext_adjacent(P5, ext_vertex(P5, "x4"), x1_x5)
+    # Distinct keys on one base that are one element over P5 commute
+    # there, so the pair routine must not settle equal bases: this pair
+    # of non-generators is reduced in either order.
+    u, v = ext_vertex(c5, "x1", word("x2")), ext_vertex(c5, "x1", word("x5", "x2"))
+    assert u.key != v.key and equal(P5, u.key, v.key)
+    assert ext_adjacent(c5, u, v)
+    calls = _counting_reductions(monkeypatch)
+    assert not ext_adjacent(P5, u, v) and not ext_adjacent(P5, v, u)
+    assert len(calls) == 2
+
+
+def test_pairs_on_adjacent_bases_are_settled_without_a_reduction(monkeypatch):
+    # Distinct vertices on adjacent bases never commute, so every such
+    # pair of P5's radius-2 pool is adjacent, and no reduction runs.
+    pool = enumerate_vertices(P5, 2)
+    pairs = [(u, v) for u in pool for v in pool if P5.adjacent(u.base, v.base)]
+    want = [_reference_ext_adjacent(P5, u, v) for u, v in pairs]
+    assert len(pairs) > 1000 and all(want)
+    calls = _counting_reductions(monkeypatch)
+    assert [ext_adjacent(P5, u, v) for u, v in pairs] == want
+    assert calls == []
 
 
 def _graph_and_subgraph(labels, edges, removed):
@@ -739,18 +773,23 @@ def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found, lea
         return adjacent_ids(alphabet, iu, iv)
 
     monkeypatch.setattr(extgraph, "_adjacent_ids", counting)
-    witness = search_induced_embedding_ext(pattern, make_path(n), 2)
+    g = make_path(n)
+    witness = search_induced_embedding_ext(pattern, g, 2)
     assert (witness is not None) == found
     # A found witness is checked last, one evaluation per pattern pair.
     checked = len(pattern) * (len(pattern) - 1) // 2 if found else 0
     searched = pairs[: len(pairs) - checked]
     assert len(searched) > least
     assert len({frozenset((iu[0], iv[0])) for iu, iv in searched}) == len(searched)
-    # The masks settle every pair with a generator in it and every pair
-    # whose supports neither meet nor neighbour.
+    # The masks settle every pair with a generator in it, every pair
+    # whose supports neither meet nor neighbour, and every pair on equal
+    # or adjacent bases, read off the middle ids of the triples' words.
+    links = _alphabet(g).links
     for iu, iv in searched:
         assert len(iu[0]) > 1 and len(iv[0]) > 1
         assert iu[2] & iv[1]
+        a, b = iu[0][len(iu[0]) >> 1], iv[0][len(iv[0]) >> 1]
+        assert a != b and not links[a] >> b & 1
 
 
 def test_search_checks_the_witness_it_decodes(monkeypatch):
