@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphParseError, InvariantViolation
-from .graphs import SimplicialGraph, induced_maps, make_path
+from .graphs import SimplicialGraph, _edge_ids, induced_maps, make_path
 from .words import (
     Letter,
     _alphabet,
@@ -577,8 +577,7 @@ def verify_witness(pattern, g, witness):
     subgraph of the extension graph."""
     if set(witness) != set(pattern.vertices):
         return False
-    index = pattern._index
-    want = {(index[u], index[v]) for u, v in pattern.edges}
+    want = set(_edge_ids(pattern))
     # None, for two labels on one element, is not equal to want.
     return _distinct_ext_edges(g, [witness[v] for v in pattern.vertices]) == want
 

@@ -18,18 +18,16 @@ class SimplicialGraph:
     """Finite undirected loop-free graph.
 
     Vertices are short string labels; ``vertices`` fixes the canonical
-    total order. Edges are stored as index-sorted pairs. ``_masks[i]`` is
-    the bitmask of the indices of vertex i's neighbours, which the
-    predicates here and the id tables of ``words`` and ``extgraph`` read.
-    ``_nbrs`` holds the same facts as label sets: ``neighbors()`` is the
-    label boundary, which criterion 3 alone asks 555,555 times, so it
-    answers without turning a mask into labels. ``_alphabet`` holds the
-    letter-id tables of ``words``, built on first use; ``_pools`` maps a
-    radius to the pool and adjacency rows of ``extgraph``'s search, each
-    built on the first search at that radius.
+    total order. ``_masks[i]`` is the bitmask of the indices of vertex i's
+    neighbours, the one record of the adjacency: the predicates here and
+    the id tables of ``words`` and ``extgraph`` read it, and ``edges``
+    and ``neighbors()`` turn it into labels on each call. ``_alphabet``
+    holds the letter-id tables of ``words``, built on first use;
+    ``_pools`` maps a radius to the pool and adjacency rows of
+    ``extgraph``'s search, each built on the first search at that radius.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_masks", "_alphabet", "_pools")
+    __slots__ = ("vertices", "_index", "_masks", "_alphabet", "_pools")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -38,8 +36,6 @@ class SimplicialGraph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
-        norm = set()
-        nbrs = {v: set() for v in vertices}
         masks = [0] * len(vertices)
         for e in edges:
             u, v = e
@@ -47,22 +43,21 @@ class SimplicialGraph:
                 raise ValueError(f"edge {u!r}-{v!r} has a label that is not a string")
             if u == v:
                 raise ValueError(f"loop edge at {u!r}")
-            i = index.get(u)
-            j = index.get(v)
+            i, j = index.get(u), index.get(v)
             if i is None or j is None:
                 raise ValueError(f"edge {u!r}-{v!r} mentions an unknown vertex")
-            norm.add((u, v) if i < j else (v, u))
-            nbrs[u].add(v)
-            nbrs[v].add(u)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.vertices = vertices
-        self.edges = frozenset(norm)
         self._index = index
-        self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
         self._masks = tuple(masks)
         self._alphabet = None
         self._pools = {}
+
+    @property
+    def edges(self):
+        """The edges as label pairs, each in canonical order."""
+        return frozenset(_ordered_edges(self))
 
     def __contains__(self, v):
         return v in self._index
@@ -73,10 +68,10 @@ class SimplicialGraph:
     def __eq__(self, other):
         if not isinstance(other, SimplicialGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._masks))
 
     def __repr__(self):
         return f"SimplicialGraph({list(self.vertices)!r}, {sorted(self.edges)!r})"
@@ -90,16 +85,14 @@ class SimplicialGraph:
     def adjacent(self, u, v):
         if u not in self._index or v not in self._index:
             raise ValueError(f"unknown vertex in pair ({u!r}, {v!r})")
-        return v in self._nbrs[u]
+        return self._masks[self._index[u]] >> self._index[v] & 1 == 1
 
     def neighbors(self, v):
-        try:
-            return self._nbrs[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
+        m = self._masks[self.index(v)]
+        return frozenset([u for j, u in enumerate(self.vertices) if m >> j & 1])
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        return self._masks[self.index(v)].bit_count()
 
 
 def make_path(n):
@@ -187,7 +180,7 @@ def is_connected(g):
 
 def _tree_levels(g):
     """The breadth-first levels from vertex 0 when g is a tree, else None."""
-    if len(g.edges) != len(g) - 1:
+    if sum(map(int.bit_count, g._masks)) != 2 * (len(g) - 1):
         return None
     levels = _levels(g._masks, 0)
     return levels if sum(levels) == (1 << len(g)) - 1 else None
@@ -262,16 +255,6 @@ def find_induced_embeddings(pattern, target):
     )
     domains = dict.fromkeys(order, target.vertices)
     yield from _vertex_maps(target, pattern.adjacent, order, domains)
-
-
-def is_isomorphic(g, h):
-    """Graph isomorphism by exhaustive search; fine at this package's sizes."""
-    if len(g) != len(h) or len(g.edges) != len(h.edges):
-        return False
-    degs = sorted(g.degree(v) for v in g.vertices)
-    if degs != sorted(h.degree(v) for v in h.vertices):
-        return False
-    return next(find_induced_embeddings(g, h), None) is not None
 
 
 @dataclass(frozen=True)
@@ -429,8 +412,15 @@ def _tree_code(k, edges):
 # Text and JSON formats
 
 
+def _edge_ids(g):
+    """The edges as index pairs (i, j), i < j, in increasing order."""
+    rows = enumerate(g._masks)
+    return [(i, j) for i, m in rows for j in range(i + 1, m.bit_length()) if m >> j & 1]
+
+
 def _ordered_edges(g):
-    return sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1])))
+    vs = g.vertices
+    return [(vs[i], vs[j]) for i, j in _edge_ids(g)]
 
 
 def format_graph(g):

@@ -111,14 +111,15 @@ def commute_elements(g, u, w):
 
 
 def check_lemma_comm1(g, a, w):
-    """Pair (elements commute, link of a misses the support of w).
-
-    The two booleans agree for every input; computing both from
-    independent routes makes this a cross-check.
-    """
+    """Pair (elements commute, link of a misses the support of w). The two
+    agree for every input, so two independent routes cross-check: the
+    first reduces the commutator of a and w; the second reduces w alone
+    and asks whether any of its letter ids is in a's link mask."""
     direct = commute_elements(g, (Letter(a, 1),), w)
-    by_support = not (g.neighbors(a) & support(g, w))
-    return (direct, by_support)
+    alphabet = _alphabet(g)
+    link = alphabet.links[2 * g.index(a)]
+    reduced = _reduced_ids(alphabet.stops, _encode(alphabet, w))
+    return (direct, not any(link >> c & 1 for c in reduced))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from raagembed.graphs import (
     SimplicialGraph,
     all_trees,
     is_hairy_path,
-    is_isomorphic,
     make_cycle,
     make_path,
     make_tripod,
 )
 from raagembed.homs import bounded_injectivity, check_relator_preservation
 from raagembed.words import word
+from test_graphs import is_isomorphic
 
 FIG6_TREE = SimplicialGraph(
     ["b", "x", "y", "c", "hx", "hy1", "hy2"],

@@ -22,7 +22,6 @@ from raagembed.extgraph import (
 from raagembed.graphs import (
     SimplicialGraph,
     all_trees,
-    is_isomorphic,
     make_cycle,
     make_path,
     make_tripod,
@@ -42,7 +41,7 @@ from raagembed.words import (
     support,
     word,
 )
-from test_graphs import is_independent, random_graphs, shuffled_trees
+from test_graphs import is_independent, is_isomorphic, random_graphs, shuffled_trees
 from test_words import (
     _reference_normal_form,
     _reference_reduce,

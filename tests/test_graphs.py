@@ -11,6 +11,7 @@ from raagembed.graphs import (
     OBSTRUCTION_ROLES,
     SimplicialGraph,
     _diameter_path,
+    _ordered_edges,
     _tree_levels,
     _tripod_wanted,
     _vertex_maps,
@@ -24,7 +25,6 @@ from raagembed.graphs import (
     induced_maps,
     is_connected,
     is_hairy_path,
-    is_isomorphic,
     is_tree,
     make_cycle,
     make_path,
@@ -103,9 +103,19 @@ def shuffled_trees(max_n, orders, seed=0):
                 yield SimplicialGraph(vs, t.edges)
 
 
-def random_graphs(seed, count, max_n=10):
-    """Seeded graphs on 1..max_n vertices, edge densities from sparse to
-    dense, in shuffled vertex order."""
+def is_isomorphic(g, h):
+    """Brute-force reference: graph isomorphism by exhaustive search."""
+    if len(g) != len(h) or len(g.edges) != len(h.edges):
+        return False
+    degs = sorted(g.degree(v) for v in g.vertices)
+    if degs != sorted(h.degree(v) for v in h.vertices):
+        return False
+    return next(find_induced_embeddings(g, h), None) is not None
+
+
+def random_graph_inputs(seed, count, max_n=10):
+    """Seeded (vertex labels, edge list) inputs on 1..max_n vertices, edge
+    densities from sparse to dense, in shuffled vertex order."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, max_n)
@@ -113,15 +123,70 @@ def random_graphs(seed, count, max_n=10):
         p = rng.choice((0.1, 0.2, 0.35, 0.5, 0.8))
         edges = [e for e in combinations(labels, 2) if rng.random() < p]
         rng.shuffle(labels)
+        yield labels, edges
+
+
+def random_graphs(seed, count, max_n=10):
+    """The graphs of ``random_graph_inputs``."""
+    for labels, edges in random_graph_inputs(seed, count, max_n):
         yield SimplicialGraph(labels, edges)
 
 
-def test_masks_match_adjacency():
-    for g in list(random_graphs(11, 300)) + [make_path(1), make_cycle(5)]:
-        assert len(g._masks) == len(g)
-        for i, u in enumerate(g.vertices):
-            for j, v in enumerate(g.vertices):
-                assert (g._masks[i] >> j & 1) == (i != j and g.adjacent(u, v)), (g, u, v)
+def random_tree_inputs(seed, count, max_n=12):
+    """Seeded labelled trees on 1..max_n vertices, as (vertex labels, edge
+    list): vertex k hangs from a random earlier one, and the vertex order
+    is shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        labels = [f"t{i}" for i in range(n)]
+        edges = [(labels[rng.randrange(k)], labels[k]) for k in range(1, n)]
+        rng.shuffle(labels)
+        yield labels, edges
+
+
+def _reference_ordered_edges(g, edges):
+    """The canonical edge order as it was before the masks: the label
+    pairs sorted by their index pairs."""
+    return sorted(edges, key=lambda e: (g.index(e[0]), g.index(e[1])))
+
+
+def test_adjacency_matches_the_input_edges():
+    inputs = list(random_graph_inputs(11, 300)) + list(random_tree_inputs(4, 300))
+    inputs.append(([], []))
+    for labels, edges in inputs:
+        nbrs = {v: set() for v in labels}
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        at = {v: i for i, v in enumerate(labels)}
+        pairs = {(u, v) if at[u] < at[v] else (v, u) for u, v in edges}
+        # every edge given as listed, reversed, and again
+        g = SimplicialGraph(labels, edges + [(v, u) for u, v in edges] + edges)
+        assert g._masks == tuple(sum(1 << at[u] for u in nbrs[v]) for v in labels)
+        assert g.edges == pairs and type(g.edges) is frozenset
+        assert _ordered_edges(g) == _reference_ordered_edges(g, pairs)
+        for u in labels:
+            assert g.neighbors(u) == nbrs[u] and type(g.neighbors(u)) is frozenset
+            assert g.degree(u) == len(nbrs[u])
+            for v in labels:
+                assert g.adjacent(u, v) is (v in nbrs[u]), (labels, edges, u, v)
+        same = SimplicialGraph(g.vertices, g.edges)
+        assert same == g and hash(same) == hash(g)
+        for dropped in pairs:
+            assert SimplicialGraph(labels, pairs - {dropped}) != g
+
+
+def test_unknown_labels_raise_value_error():
+    p5 = make_path(5)
+    with pytest.raises(ValueError, match=r"^unknown vertex in pair \('x1', 'zz'\)$"):
+        p5.adjacent("x1", "zz")
+    with pytest.raises(ValueError, match=r"^unknown vertex in pair \('zz', 'x1'\)$"):
+        p5.adjacent("zz", "x1")
+    with pytest.raises(ValueError, match="^unknown vertex 'zz'$"):
+        p5.neighbors("zz")
+    with pytest.raises(ValueError, match="^unknown vertex 'zz'$"):
+        p5.degree("zz")
 
 
 def test_connectivity_matches_the_label_search():

@@ -254,9 +254,10 @@ def _reference_words(g, max_len, canonical, start=frozenset()):
     base or a neighbour of it (the start mask of ``_words``)."""
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
     index = {v: i for i, v in enumerate(g.vertices)}
+    links = {v: g.neighbors(v) for v in g.vertices}
 
     def blocked(w, base, sign):
-        link = g.neighbors(base)
+        link = links[base]
         if Letter(base, sign) in start and not any(
             b == base or b in link for b, _ in w
         ):
@@ -314,7 +315,6 @@ def _naive_support_propagation(m, trigger, required, max_len):
 def _base_cancellation(g, w, base):
     """Positions (i, j) of an innermost cancellation of two ``base``
     letters in the literal word w, or None."""
-    link = g.neighbors(base)
     for i, lt in enumerate(w):
         if lt.base != base:
             continue
@@ -323,7 +323,7 @@ def _base_cancellation(g, w, base):
                 if w[j].sign == -lt.sign:
                     return (i, j)
                 break
-            if w[j].base in link:
+            if g.adjacent(base, w[j].base):
                 break
     return None
 

@@ -113,14 +113,13 @@ def find_cancellation(g, w):
     a word admits no such pair exactly when it is reduced.
     """
     for i, lt in enumerate(w):
-        nbrs = g.neighbors(lt.base)
         for j in range(i + 1, len(w)):
             m = w[j]
             if m.base == lt.base:
                 if m.sign == -lt.sign:
                     return (i, j)
                 break
-            if m.base in nbrs:
+            if g.adjacent(lt.base, m.base):
                 break
     return None
 
@@ -426,6 +425,36 @@ def test_lemma_comm1_examples():
     assert check_lemma_comm1(P5, "x1", ()) == (True, True)
     assert check_lemma_comm1(P5, "x1", parse_word("x2^-1 x3 x2")) == (False, False)
     assert check_lemma_comm1(P5, "x5", parse_word("x2^-1 x1 x2")) == (True, True)
+
+
+_C5 = [f"c{i}" for i in range(1, 6)]
+_P6 = [f"p{i}" for i in range(1, 7)]
+LEMMA_INPUTS = {
+    "C5": (_C5, list(zip(_C5, _C5[1:] + _C5[:1]))),
+    "K13": (["x", "a", "b", "c"], [("x", "a"), ("x", "b"), ("x", "c")]),
+    "P6": (_P6, list(zip(_P6, _P6[1:]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_INPUTS))
+def test_lemma_comm1_mask_route_matches_the_label_route(name):
+    """The second boolean, read off a's link mask and the letter ids of
+    the reduced w, against the label sets of the input edges."""
+    labels, edges = LEMMA_INPUTS[name]
+    g = SimplicialGraph(labels, edges)
+    nbrs = {v: {u for e in edges if v in e for u in e if u != v} for v in labels}
+    rng = random.Random(f"lemma_comm1:{name}")
+    seen = set()
+    for _ in range(300):
+        w = tuple(
+            Letter(rng.choice(labels), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 12))
+        )
+        for a in labels:
+            want = not (nbrs[a] & support(g, w))
+            assert check_lemma_comm1(g, a, w) == (want, want), (a, w)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_conjugate_word_shape():
