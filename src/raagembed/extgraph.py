@@ -78,34 +78,32 @@ def _vertex_ids(alphabet, v):
     """v = a^(x) in the letter ids of ``alphabet``: the triple (the ids of
     the word x^-1 a x, the id mask of its support, that mask plus the
     neighbours of every support vertex), masks taking both signs of a
-    vertex. A generator a is its own reduced word, with support a and
-    reach ``stops[a]``.
+    vertex.
 
-    On the alphabet whose graph built v (``v._alphabet is alphabet``),
-    ``ext_vertex`` has proved x^-1 a x reduced, so the support is {a}
-    with the letters of x: only x is encoded, and a is read off the tag.
-    On any other alphabet, even that of an equal graph, the support is
-    read off the word reduced here, so it is right for any graph on v's
+    The support is read in one loop on either route, seeded with a: every
+    reduced word for a conjugate of a holds a letter of a, since its
+    a-exponents sum to 1. On the alphabet whose graph built v
+    (``v._alphabet is alphabet``), ``ext_vertex`` has proved x^-1 a x
+    reduced, so the loop reads the letters of x, and a is read off the
+    tag. On any other alphabet, even that of an equal graph, it reads the
+    word reduced here, so the support is right for any graph on v's
     labels. A label that is not on the graph raises ValueError."""
     ids, stops = alphabet.ids, alphabet.stops
+    home = v._alphabet is alphabet
     try:
         conj = [ids[lt] for lt in v.conjugator]
-        if v._alphabet is alphabet:
-            a = v._a
-            support, reach = 3 << a, stops[a]
-            for c in conj:
-                support |= 3 << (c & ~1)
-                reach |= stops[c]
-            return tuple(_inverse_ids(conj) + [a] + conj), support, reach
-        a = ids[Letter(v.base, 1)]
+        a = v._a if home else ids[Letter(v.base, 1)]
     except KeyError as exc:
         raise ValueError(f"unknown letter {exc.args[0]!r}") from None
     if not conj:
+        # A generator is its own reduced word on either route, so no key
+        # is built or reduced. The search checks its decoded witnesses,
+        # which carry no tag, through ``ext_adjacent``: without this
+        # return each of their generators would pay a reduction.
         return (a,), 3 << a, stops[a]
     key = tuple(_inverse_ids(conj) + [a] + conj)
-    reduced = _reduced_ids(stops, key)
-    support = reach = 0
-    for c in reduced:
+    support, reach = 3 << a, stops[a]
+    for c in conj if home else _reduced_ids(stops, key):
         support |= 3 << (c & ~1)
         reach |= stops[c]
     return key, support, reach
@@ -291,7 +289,7 @@ def _pool(g, radius):
         a = 2 * i
         w = _inverse_ids(x) + [a, *x]
         key = tuple(_conjugate_key(alphabet, w))
-        # The loop of ``_vertex_ids``' home path, x^-1 a x being reduced;
+        # The home-route loop of ``_vertex_ids``, x^-1 a x being reduced;
         # a shared helper would cost ``ext_adjacent`` two calls per pair,
         # and its one call per pool vertex here put the ``ext_search``
         # benchmark's ``latency_tail_ms`` up 4% in paired runs.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
+from .graphs import _edge_ids
 from .words import (
     Letter,
     _alphabet,
@@ -76,7 +77,9 @@ def induced_map(source, target, mapping):
             raise ValueError(f"unknown source vertex {v!r}")
         if w not in target:
             raise ValueError(f"unknown target vertex {w!r}")
-    if not all(target.adjacent(mapping[u], mapping[v]) for u, v in source.edges):
+    index, masks = target._index, target._masks
+    image = [index[mapping[v]] for v in source.vertices]
+    if not all(masks[image[i]] >> image[j] & 1 for i, j in _edge_ids(source)):
         raise ValueError("vertex map does not carry edges to edges")
     fibers = {w: [] for w in target.vertices}
     for v in source.vertices:

@@ -110,18 +110,6 @@ def commute_elements(g, u, w):
     return not _reduced_ids(a.stops, _inverse_ids(u) + _inverse_ids(w) + u + w)
 
 
-def check_lemma_comm1(g, a, w):
-    """Pair (elements commute, link of a misses the support of w). The two
-    agree for every input, so two independent routes cross-check: the
-    first reduces the commutator of a and w; the second reduces w alone
-    and asks whether any of its letter ids is in a's link mask."""
-    direct = commute_elements(g, (Letter(a, 1),), w)
-    alphabet = _alphabet(g)
-    link = alphabet.links[2 * g.index(a)]
-    reduced = _reduced_ids(alphabet.stops, _encode(alphabet, w))
-    return (direct, not any(link >> c & 1 for c in reduced))
-
-
 # ---------------------------------------------------------------------------
 # Integer letter ids. The letter of sign s on the vertex of index i has id
 # 2*i + (s < 0), so id order is vertex order, positive sign first. The word

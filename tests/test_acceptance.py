@@ -3,9 +3,14 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 CLI's ``verify-all``) and asserts the criterion's report."""
 
+import json
+
 import pytest
 
 from raagembed import acceptance
+from raagembed.graphs import _ordered_edges, all_trees
+from raagembed.oracle import all_words
+from raagembed.words import Letter, commute_elements
 
 
 def _check(criterion):
@@ -32,6 +37,24 @@ def test_criterion_02_word_problem_oracle():
 def test_criterion_03_link_support_commutation():
     report = _check(acceptance.criterion_3)
     assert report["details"]["checked"] == 5 * 111_111
+
+
+def test_criterion_03_compares_its_two_routes(monkeypatch):
+    """Criterion 3 asks ``commute_elements`` and ``support`` itself: one
+    flipped commutation answer is a disagreement, reported as its pair."""
+    flipped = ("x3", (Letter("x2", 1), Letter("x4", -1)))
+
+    def commute(g, u, w):
+        answer = commute_elements(g, u, w)
+        if (u, w) == ((Letter("x3", 1),), flipped[1]):
+            return not answer
+        return answer
+
+    monkeypatch.setattr(acceptance, "all_words", lambda g, n: all_words(g, 2))
+    monkeypatch.setattr(acceptance, "commute_elements", commute)
+    report = acceptance.criterion_3()
+    assert not report["passed"]
+    assert report["details"] == {"checked": 5 * 111, "disagreements": [flipped]}
 
 
 def test_criterion_04_reduced_conjugate_support():
@@ -78,6 +101,29 @@ def test_criterion_10_tree_characterization():
     assert report["details"]["trees"] == 2288
     assert report["details"]["hairy"] == 1088
     assert report["details"]["example_ok"]
+
+
+def test_criterion_10_failure_is_a_json_report(monkeypatch):
+    """A tree on which the decomposition and the tripod test disagree is
+    reported with its edges in their fixed order, and the report stays
+    JSON."""
+    planted = next(iter(all_trees(4)))
+    is_hairy_path = acceptance.is_hairy_path
+    monkeypatch.setattr(
+        acceptance, "all_trees", lambda n: all_trees(n) if n <= 5 else []
+    )
+    monkeypatch.setattr(
+        acceptance,
+        "is_hairy_path",
+        lambda t: None if t == planted else is_hairy_path(t),
+    )
+    report = acceptance.criterion_10()
+    assert not report["passed"]
+    failures = json.loads(json.dumps(report))["details"]["equivalence_failures"]
+    edges = [list(e) for e in _ordered_edges(planted)]
+    assert failures == [
+        [4, {"vertices": list(planted.vertices), "edges": edges}]
+    ]
 
 
 def test_criterion_11_push_to_base_sampling():

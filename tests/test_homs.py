@@ -75,9 +75,19 @@ def test_induced_map_identity_and_refusals():
         induced_map(P5, P5, {**identity, "zz": "x1"})
     with pytest.raises(ValueError, match="unknown target vertex 'zz'"):
         induced_map(P5, P5, {**identity, "x5": "zz"})
-    # collapsing an edge onto one endpoint would need a loop
-    with pytest.raises(ValueError, match="vertex map does not carry edges to edges"):
-        induced_map(P5, P5, {**identity, "x2": "x1"})
+    # A target whose vertex order differs from the source's, so that the
+    # index and label orders of the two graphs disagree.
+    shuffled = SimplicialGraph(("x3", "x5", "x1", "x4", "x2"), P5.edges)
+    for target in (P5, shuffled):
+        assert induced_map(P5, target, identity).images == {
+            v: word(v) for v in P5.vertices
+        }
+        # collapsing an edge onto one endpoint would need a loop
+        with pytest.raises(ValueError, match="vertex map does not carry edges to edges"):
+            induced_map(P5, target, {**identity, "x2": "x1"})
+        # x1 x2 lands on x1 and x4, distinct but not adjacent
+        with pytest.raises(ValueError, match="vertex map does not carry edges to edges"):
+            induced_map(P5, target, {**identity, "x2": "x4"})
 
 
 def test_deg3_vertex_map_is_a_hom_with_independent_fibers():

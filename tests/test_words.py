@@ -16,7 +16,6 @@ from raagembed.words import (
     _steps,
     _word_count,
     canonical_words,
-    check_lemma_comm1,
     commutator,
     commute_elements,
     conjugate_word,
@@ -417,14 +416,17 @@ def test_commutator_with_self_is_trivial():
 
 
 def test_commute_elements_examples():
-    assert not commute_elements(P5, word("x1"), parse_word("x2^-1 x3 x2"))
     assert commute_elements(P5, word("x1"), word("x3"))
-
-
-def test_lemma_comm1_examples():
-    assert check_lemma_comm1(P5, "x1", ()) == (True, True)
-    assert check_lemma_comm1(P5, "x1", parse_word("x2^-1 x3 x2")) == (False, False)
-    assert check_lemma_comm1(P5, "x5", parse_word("x2^-1 x1 x2")) == (True, True)
+    # A generator commutes with an element exactly when its link misses
+    # the element's support: both routes, on three elements.
+    for a, w, want in (
+        ("x1", "", True),
+        ("x1", "x2^-1 x3 x2", False),
+        ("x5", "x2^-1 x1 x2", True),
+    ):
+        w = parse_word(w)
+        assert commute_elements(P5, word(a), w) == want, (a, w)
+        assert (not (P5.neighbors(a) & support(P5, w))) == want, (a, w)
 
 
 _C5 = [f"c{i}" for i in range(1, 6)]
@@ -438,8 +440,9 @@ LEMMA_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(LEMMA_INPUTS))
 def test_lemma_comm1_mask_route_matches_the_label_route(name):
-    """The second boolean, read off a's link mask and the letter ids of
-    the reduced w, against the label sets of the input edges."""
+    """Whether a commutes with w, by reducing their commutator on the
+    stop masks, against whether the link of a, from the label sets of
+    the input edges, misses the support of w."""
     labels, edges = LEMMA_INPUTS[name]
     g = SimplicialGraph(labels, edges)
     nbrs = {v: {u for e in edges if v in e for u in e if u != v} for v in labels}
@@ -452,7 +455,7 @@ def test_lemma_comm1_mask_route_matches_the_label_route(name):
         )
         for a in labels:
             want = not (nbrs[a] & support(g, w))
-            assert check_lemma_comm1(g, a, w) == (want, want), (a, w)
+            assert commute_elements(g, (Letter(a, 1),), w) == want, (a, w)
             seen.add(want)
     assert seen == {True, False}
 
