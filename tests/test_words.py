@@ -416,7 +416,11 @@ def test_commutator_with_self_is_trivial():
 
 
 def test_commute_elements_examples():
+    assert not commute_elements(P5, word("x1"), parse_word("x2^-1 x3 x2"))
     assert commute_elements(P5, word("x1"), word("x3"))
+
+
+def test_lemma_comm1_examples():
     # A generator commutes with an element exactly when its link misses
     # the element's support: both routes, on three elements.
     for a, w, want in (
