@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphParseError, InvariantViolation
-from .graphs import SimplicialGraph, _edge_ids, induced_maps, make_path
+from .graphs import (
+    SimplicialGraph,
+    _edge_ids,
+    automorphisms,
+    induced_maps,
+    make_path,
+)
 from .words import (
     Letter,
     _alphabet,
@@ -523,35 +529,74 @@ def search_induced_embedding_ext(pattern, g, radius):
     anchored witness within the radius. It does not mean that no witness
     of conjugator length <= radius exists, nor that no embedding exists.
 
-    The pool and its rows are kept on g per radius, for as long as g
-    lives: a pair settled by one search stays settled for the next, since
-    every row is a fact about the pool alone.
+    The anchor maps come in lexicographic order of their image tuples,
+    and the first one with a witness gives the answer. Two generators are
+    adjacent in the extension graph exactly when they are adjacent in g,
+    so the anchors are placed on g's neighbour masks. Each generator's
+    row is read once per search (it needs no pair evaluation), and the
+    rest domains are narrowed on those rows by mask operations.
+
+    An anchor map A is skipped when an automorphism p of g kept with the
+    pool sends it to a smaller tuple p∘A. This changes no answer. p
+    permutes the generators, maps the radius-L pool onto itself (it
+    preserves conjugator length) and preserves commutation, so p∘W is an
+    anchored witness for p∘A whenever W is one for A. Hence the first
+    anchor map with a witness is never skipped: the smaller map it would
+    be skipped for also has a witness and comes earlier. The rest search
+    at that map is unchanged, so None stays None and every witness stays
+    the same. The argument holds for any set of automorphisms, so keeping
+    only the first len(g) (``graphs.automorphisms``) changes no answer.
+    A first anchor on generator i is skipped whenever some p has
+    p[i] < i, so the root domain keeps only the others; a complete map is
+    then tested only against the p that fix its first image, since every
+    other kept p moves that image higher.
+
+    The pool, its rows and the automorphisms are kept on g per radius,
+    for as long as g lives: a pair settled by one search stays settled
+    for the next, since every row is a fact about the pool alone.
     """
     alphabet = _alphabet(g)
     entry = g._pools.get(radius)
     if entry is None:
         pool = _pool(g, radius)
-        entry = g._pools[radius] = (pool, _pool_rows(g, pool))
-    pool, row = entry
+        entry = g._pools[radius] = (pool, _pool_rows(g, pool), automorphisms(g))
+    pool, row, autos = entry
     anchors = lex_first_max_independent_set(pattern)
     rest = [v for v in pattern.vertices if v not in anchors]
-    # Per rest vertex: each anchor, and whether the two must be adjacent.
-    wants = [(rv, [(au, pattern.adjacent(rv, au)) for au in anchors]) for rv in rest]
+    # Per rest vertex: each anchor's position, and whether the two must be
+    # adjacent.
+    wants = [
+        (rv, [(k, pattern.adjacent(rv, au)) for k, au in enumerate(anchors)])
+        for rv in rest
+    ]
     everything = (1 << len(pool)) - 1
     # The pool is sorted by (radius, base): the generators come first.
+    gen_rows = [row(i, everything) for i in range(len(g))]
     anchor_domains = dict.fromkeys(anchors, (1 << len(g)) - 1)
-    for amap in induced_maps(pattern.adjacent, anchors, anchor_domains, row):
+    if anchors:
+        anchor_domains[anchors[0]] = sum(
+            1 << i for i in range(len(g)) if all(p[i] >= i for p in autos)
+        )
+    nbrs = g._masks
+    for amap in induced_maps(
+        pattern.adjacent, anchors, anchor_domains, lambda d, mask: nbrs[d] & mask
+    ):
+        t = list(amap.values())
+        if any(p[t[0]] == t[0] and [p[i] for i in t] < t for p in autos):
+            continue
         free = everything
-        for ai in amap.values():
+        for ai in t:
             free &= ~(1 << ai)
         domains = {}
         for rv, pairs in wants:
             mask = free
-            for au, want in pairs:
-                r = row(amap[au], mask)
-                mask = r if want else mask & ~r
+            for k, want in pairs:
+                r = gen_rows[t[k]]
+                mask = mask & r if want else mask & ~r
+            if not mask:
+                break
             domains[rv] = mask
-        if not all(domains.values()):
+        if len(domains) < len(rest):
             continue
         # ``rest`` is in pattern order, which the stable sort keeps on ties.
         order = sorted(rest, key=lambda v: domains[v].bit_count())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import GraphParseError
 
@@ -23,8 +23,9 @@ class SimplicialGraph:
     the id tables of ``words`` and ``extgraph`` read it, and ``edges``
     and ``neighbors()`` turn it into labels on each call. ``_alphabet``
     holds the letter-id tables of ``words``, built on first use;
-    ``_pools`` maps a radius to the pool and adjacency rows of
-    ``extgraph``'s search, each built on the first search at that radius.
+    ``_pools`` maps a radius to the pool, adjacency rows and kept
+    automorphisms of ``extgraph``'s search, each built on the first
+    search at that radius.
     """
 
     __slots__ = ("vertices", "_index", "_masks", "_alphabet", "_pools")
@@ -255,6 +256,31 @@ def find_induced_embeddings(pattern, target):
     )
     domains = dict.fromkeys(order, target.vertices)
     yield from _vertex_maps(target, pattern.adjacent, order, domains)
+
+
+def automorphisms(g):
+    """At most len(g) automorphisms of g other than the identity, as
+    index tuples p (vertex i goes to vertex p[i]): the first ones in
+    lexicographic order of p.
+
+    They come from the one backtracker, mapping g into itself with
+    vertex i tried over the vertices of its degree in increasing order.
+    An injective map of g's vertices to themselves that keeps every
+    adjacency and non-adjacency is an automorphism, and the maps come in
+    lexicographic order, so the identity comes first and is dropped. The
+    cap keeps the work small on graphs with many automorphisms (the star
+    K_{1,12} has 12! of them).
+    """
+    nbrs = g._masks
+    degrees = [m.bit_count() for m in nbrs]
+    domains = [sum(1 << j for j, e in enumerate(degrees) if e == d) for d in degrees]
+    maps = induced_maps(
+        lambda u, v: nbrs[u] >> v & 1 == 1,
+        range(len(g)),
+        domains,
+        lambda d, mask: nbrs[d] & mask,
+    )
+    return tuple([tuple(p.values()) for p in islice(maps, 1, len(g) + 1)])
 
 
 @dataclass(frozen=True)

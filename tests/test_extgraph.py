@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -22,6 +23,7 @@ from raagembed.extgraph import (
 from raagembed.graphs import (
     SimplicialGraph,
     all_trees,
+    automorphisms,
     make_cycle,
     make_path,
     make_tripod,
@@ -872,6 +874,78 @@ def test_a_failed_search_keeps_no_pool(monkeypatch):
     want = search_induced_embedding_ext(HAIRY_H, make_path(8), 2)
     assert want is not None
     assert _witness_text(got) == _witness_text(want)
+
+
+def _filter_targets():
+    targets = [make_path(n) for n in range(3, 10)]
+    targets += [make_cycle(5), make_cycle(6), make_cycle(8)]
+    # P8 in a shuffled vertex order: its reversal is not i -> n - 1 - i
+    vs = list(make_path(8).vertices)
+    random.Random(8).shuffle(vs)
+    return targets + [SimplicialGraph(vs, make_path(8).edges)]
+
+
+def _filter_searches():
+    """The witness texts of every tree with <= 7 vertices and C4-C6 into
+    each ``_filter_targets`` graph at radii 0-2, on fresh target objects."""
+    patterns = [t for k in range(1, 8) for t in all_trees(k)]
+    patterns += [make_cycle(n) for n in (4, 5, 6)]
+    return [
+        _witness_text(search_induced_embedding_ext(t, g, radius))
+        for g in _filter_targets()
+        for radius in range(3)
+        for t in patterns
+    ]
+
+
+def test_the_automorphism_filter_changes_no_answer(monkeypatch):
+    # Any set of target automorphisms gives the same answers: none (no
+    # filter), the first one alone, and the kept ones.
+    kept = _filter_searches()
+    monkeypatch.setattr(extgraph, "automorphisms", lambda g: ())
+    unfiltered = _filter_searches()
+    monkeypatch.setattr(extgraph, "automorphisms", lambda g: automorphisms(g)[:1])
+    one = _filter_searches()
+    assert kept == unfiltered == one
+    assert len(kept) == 924
+    assert sum(w is not None for w in kept) == 255
+    # the digest of the answers before the filter existed
+    digest = hashlib.sha256(b"".join(repr(w).encode() for w in kept)).hexdigest()
+    assert digest.startswith("54b700b6860e02d0")
+
+
+def test_the_filter_halves_the_tripod_anchor_maps_into_p7(monkeypatch):
+    # P7 has one independent 4-set, and its reversal pairs up the 24
+    # orderings that the tripod's four anchors can take.
+    calls = []
+    maps = extgraph.induced_maps
+
+    def counting(*args):
+        calls.append(0)
+        for found in maps(*args):
+            calls[-1] += 1
+            yield found
+
+    monkeypatch.setattr(extgraph, "induced_maps", counting)
+    t2 = make_tripod(2, 2, 2)
+    assert search_induced_embedding_ext(t2, make_path(7), 2) is None
+    # the anchor phase is the first call, and no rest domain is ever full
+    assert calls == [12]
+    calls.clear()
+    monkeypatch.setattr(extgraph, "automorphisms", lambda g: ())
+    assert search_induced_embedding_ext(t2, make_path(7), 2) is None
+    assert calls == [24]
+
+
+def test_the_automorphisms_of_a_large_star_are_capped():
+    # K_{1,12} has 12! automorphisms; the search keeps len(g) of them.
+    star = SimplicialGraph(
+        ["c", *[f"l{i}" for i in range(1, 13)]], [("c", f"l{i}") for i in range(1, 13)]
+    )
+    assert len(automorphisms(star)) == len(star) == 13
+    p3 = SimplicialGraph(["a", "b", "d"], [("a", "b"), ("b", "d")])
+    found = search_induced_embedding_ext(p3, star, 0)
+    assert _witness_text(found) == {"a": "l1", "b": "c", "d": "l2"}
 
 
 def _reference_search(pattern, g, radius):

@@ -16,6 +16,7 @@ from raagembed.graphs import (
     _tripod_wanted,
     _vertex_maps,
     all_trees,
+    automorphisms,
     complement,
     find_induced_embeddings,
     find_tripod_obstruction,
@@ -533,6 +534,36 @@ def test_tripod_obstruction_is_absent_exactly_on_hairy_trees():
             assert (find_tripod_obstruction(t) is None) == (
                 is_hairy_path(t) is not None
             ), t
+
+
+def _brute_force_automorphisms(g):
+    """Every automorphism of g other than the identity, as index tuples
+    p (vertex i goes to p[i]), by trying every permutation."""
+    edges = {frozenset((g.index(u), g.index(v))) for u, v in g.edges}
+    found = []
+    for p in permutations(range(len(g))):
+        if {frozenset((p[i], p[j])) for i, j in edges} == edges:
+            found.append(p)
+    return found[1:]
+
+
+def _automorphism_cases():
+    graphs = [make_path(n) for n in range(1, 8)] + [make_cycle(n) for n in range(3, 8)]
+    graphs += list(shuffled_trees(7, 2))
+    return graphs + list(random_graphs(31, 60, max_n=7))
+
+
+def test_automorphisms_match_the_brute_force():
+    for g in _automorphism_cases():
+        want = _brute_force_automorphisms(g)
+        got = automorphisms(g)
+        assert len(set(got)) == len(got) <= len(g), g
+        assert tuple(range(len(g))) not in got, g
+        assert set(got) <= set(want), g
+        # the first ones in lexicographic order, so all of them when few
+        assert list(got) == want[: len(g)], g
+        if len(want) <= len(g):
+            assert set(got) == set(want), g
 
 
 def test_all_trees_counts():

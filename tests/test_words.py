@@ -264,32 +264,34 @@ def test_normal_form_kernel_matches_normal_form_on_random_long_words():
             assert _kernel_normal_form(g, w) == _reference_normal_form(g, w), format_word(w)
 
 
-def _check_against_the_reference(g, w, r, nf, partner, partner_nf, x):
+def _check_against_the_reference(g, links, w, r, nf, partner, partner_nf, x):
     """The six word-problem functions on w, given w's reference reduced
     word r and normal form nf: ``equal`` against a partner word of
     reference normal form partner_nf, ``commute_elements`` against the
     letter x, which w commutes with exactly when x's link misses the
-    support of w (the centralizer of a generator)."""
+    support of w (the centralizer of a generator). ``links`` maps each
+    vertex of g to its set of neighbours."""
     assert reduce(g, w) == r, format_word(w)
     assert normal_form(g, w) == nf, format_word(w)
     assert is_trivial(g, w) == (not r), format_word(w)
     bases = frozenset(lt.base for lt in r)
     assert support(g, w) == bases, format_word(w)
     assert equal(g, w, partner) == (nf == partner_nf), format_word(w)
-    commute = not (g.neighbors(x.base) & bases)
+    commute = not (links[x.base] & bases)
     assert commute_elements(g, w, (x,)) == commute, format_word(w)
 
 
 def test_word_problem_matches_the_reference_on_every_short_word(short_words):
     g, max_len, nf_of, reduced = short_words
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+    links = {v: g.neighbors(v) for v in g.vertices}
     previous, previous_nf = (), ()
     for k, (w, r) in enumerate(zip(all_words(g, max_len), reduced, strict=True)):
         nf = nf_of[r]
         # equal against w's own normal form, or against the word before
         partner, partner_nf = (nf, nf) if k % 2 else (previous, previous_nf)
         _check_against_the_reference(
-            g, w, r, nf, partner, partner_nf, letters[k % len(letters)]
+            g, links, w, r, nf, partner, partner_nf, letters[k % len(letters)]
         )
         previous, previous_nf = w, nf
 
@@ -299,6 +301,7 @@ def test_word_problem_matches_the_reference_on_random_long_words():
     for _ in range(40):
         g = _random_graph(rng)
         letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
+        links = {v: g.neighbors(v) for v in g.vertices}
         for _ in range(50):
             # few bases make long cancelling runs likely
             bases = rng.sample(g.vertices, rng.randint(1, len(g)))
@@ -317,7 +320,7 @@ def test_word_problem_matches_the_reference_on_random_long_words():
             else:
                 partner = w + (lt,)
             _check_against_the_reference(
-                g, w, r, nf, partner, _reference_normal_form(g, partner),
+                g, links, w, r, nf, partner, _reference_normal_form(g, partner),
                 rng.choice(letters),
             )
             u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 20)))
