@@ -268,20 +268,15 @@ def criterion_8():
 
 
 def theorem_b_variants():
-    """The three displayed graphs: the tripod with extra edges among the
-    three vertices next to the center."""
-    base_vertices = ["p", "a", "x", "b", "q", "c", "r"]
-    base_edges = [
-        ("p", "a"), ("a", "x"), ("x", "b"), ("b", "q"), ("x", "c"), ("c", "r"),
-    ]
+    """The three displayed graphs: the tripod of ``t2_graph`` with extra
+    edges among the three vertices next to the center."""
+    t2 = t2_graph()
     extras = [
         [("b", "c")],
         [("a", "b"), ("b", "c")],
         [("a", "b"), ("b", "c"), ("c", "a")],
     ]
-    return [
-        SimplicialGraph(base_vertices, base_edges + extra) for extra in extras
-    ]
+    return [SimplicialGraph(t2.vertices, [*t2.edges, *extra]) for extra in extras]
 
 
 def criterion_9():

@@ -45,21 +45,22 @@ class ExtVertex:
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element.
 
-    A vertex built by ``ext_vertex`` also keeps a tag: ``_alphabet``, the
-    id tables of the graph that built it, and ``_a``, the id of its base
-    there. They are references, not ids or masks of the vertex, and
-    ``_vertex_ids`` trusts them only for that one alphabet object. A
-    vertex built any other way has ``_alphabet`` None.
+    The constructor builds an untagged vertex, with ``_alphabet`` None.
+    Only ``ext_vertex``, which proves x^-1 a x reduced, sets the tag:
+    ``_alphabet``, the id tables of the graph that built it, and ``_a``,
+    the id of its base there. They are references, not ids or masks of
+    the vertex, and ``_vertex_ids`` trusts them only for that one
+    alphabet object.
     """
 
     __slots__ = ("base", "conjugator", "key", "_alphabet", "_a")
 
-    def __init__(self, base, conjugator, key, alphabet=None, a=0):
+    def __init__(self, base, conjugator, key):
         self.base = base
         self.conjugator = conjugator
         self.key = key
-        self._alphabet = alphabet
-        self._a = a
+        self._alphabet = None
+        self._a = 0
 
     @property
     def radius(self):
@@ -103,9 +104,8 @@ def _vertex_ids(alphabet, v):
         raise ValueError(f"unknown letter {exc.args[0]!r}") from None
     if not conj:
         # A generator is its own reduced word on either route, so no key
-        # is built or reduced. The search checks its decoded witnesses,
-        # which carry no tag, through ``ext_adjacent``: without this
-        # return each of their generators would pay a reduction.
+        # is built or reduced. Most vertices of the hairy and move
+        # witnesses are generators, and their pair checks pass here.
         return (a,), 3 << a, stops[a]
     key = tuple(_inverse_ids(conj) + [a] + conj)
     support, reach = 3 << a, stops[a]
@@ -145,24 +145,27 @@ def ext_vertex(g, base, w=()):
     alphabet = _alphabet(g)
     a = 2 * g.index(base)
     if not w:
-        return ExtVertex(base, (), (alphabet.letters[a],), alphabet, a)
-    stops, links = alphabet.stops, alphabet.links
-    u = _normal_form_ids(stops, _encode(alphabet, w))
-    # A letter is kept when it is in the link of a or blocked by a letter
-    # kept before it; any other letter shuffles to the front and commutes
-    # with a. Stripping a letter changes no earlier letter's test, so one
-    # pass strips all that rescanning would.
-    link = links[a]
-    conj = []
-    blocked = 0
-    for c in u:
-        if (link | blocked) >> c & 1:
-            conj.append(c)
-            blocked |= links[c]
-    if len(conj) < len(u):
-        conj = _normal_form_ids(stops, conj)
-    key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
-    return ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key), alphabet, a)
+        v = ExtVertex(base, (), (alphabet.letters[a],))
+    else:
+        stops, links = alphabet.stops, alphabet.links
+        u = _normal_form_ids(stops, _encode(alphabet, w))
+        # A letter is kept when it is in the link of a or blocked by a
+        # letter kept before it; any other letter shuffles to the front and
+        # commutes with a. Stripping a letter changes no earlier letter's
+        # test, so one pass strips all that rescanning would.
+        link = links[a]
+        conj = []
+        blocked = 0
+        for c in u:
+            if (link | blocked) >> c & 1:
+                conj.append(c)
+                blocked |= links[c]
+        if len(conj) < len(u):
+            conj = _normal_form_ids(stops, conj)
+        key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
+        v = ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key))
+    v._alphabet, v._a = alphabet, a
+    return v
 
 
 def format_ext_vertex(v):
@@ -284,17 +287,17 @@ def enumerate_vertices(g, radius):
 
 def _pool(g, radius):
     """The vertices of ``enumerate_vertices`` as id records, in its
-    order: (base index i, id conjugator x, id key, ``_vertex_ids``
-    triple), the triple's word being x^-1 a x, every part immutable.
-    Every key passes ``_conjugate_key``'s check, so x^-1 a x is reduced
-    and its support is {a} with the letters of x."""
+    order: (base index i, id conjugator x, ``_vertex_ids`` triple), the
+    triple's word being x^-1 a x, every part immutable. Every word passes
+    ``_conjugate_key``'s check, so x^-1 a x is reduced and its support is
+    {a} with the letters of x."""
     alphabet = _alphabet(g)
     stops = alphabet.stops
     pool = []
     for i, x in _conjugators(g, radius):
         a = 2 * i
         w = _inverse_ids(x) + [a, *x]
-        key = tuple(_conjugate_key(alphabet, w))
+        _conjugate_key(alphabet, w)  # the reducedness check; no key is kept
         # The home-route loop of ``_vertex_ids``, x^-1 a x being reduced;
         # a shared helper would cost ``ext_adjacent`` two calls per pair,
         # and its one call per pool vertex here put the ``ext_search``
@@ -303,16 +306,8 @@ def _pool(g, radius):
         for c in x:
             support |= 3 << (c & ~1)
             reach |= stops[c]
-        pool.append((i, x, key, (tuple(w), support, reach)))
+        pool.append((i, x, (tuple(w), support, reach)))
     return pool
-
-
-def _decode_vertex(g, alphabet, record):
-    """The ``ExtVertex`` of a ``_pool`` record, untagged: the search's
-    check of a decoded witness then re-derives every triple from the
-    decoded letters alone."""
-    i, x, key, _ = record
-    return ExtVertex(g.vertices[i], _decode(alphabet, x), _decode(alphabet, key))
 
 
 @dataclass(frozen=True)
@@ -460,7 +455,7 @@ def _pool_rows(g, pool):
     # The bits are set in byte arrays, so that the pass is linear in the pool.
     holders = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
     bases = [bytearray((len(pool) + 7) >> 3) for _ in range(n)]
-    for d, (i, x, _, _) in enumerate(pool):
+    for d, (i, x, _) in enumerate(pool):
         byte, bit = d >> 3, 1 << (d & 7)
         holders[i][byte] |= bit
         bases[i][byte] |= bit
@@ -468,7 +463,7 @@ def _pool_rows(g, pool):
             holders[c >> 1][byte] |= bit
     by_vertex = [int.from_bytes(h, "little") for h in holders]
     by_base = [int.from_bytes(h, "little") for h in bases]
-    ids = [r[3] for r in pool]
+    ids = [r[2] for r in pool]
     others = ~((1 << n) - 1)
     # Per pool vertex: the mask of those adjacent to it found so far, the
     # non-generators that the pair routine may find adjacent to it (None
@@ -482,7 +477,7 @@ def _pool_rows(g, pool):
         """The pool vertices in ``mask`` adjacent to pool[d]."""
         todo = maybe[d]
         if todo is None:
-            i, x, _, _ = pool[d]
+            i, x, _ = pool[d]
             support = near = 0
             for b in {i, *[c >> 1 for c in x]}:
                 support |= 1 << b
@@ -549,7 +544,8 @@ def search_induced_embedding_ext(pattern, g, radius):
     A first anchor on generator i is skipped whenever some p has
     p[i] < i, so the root domain keeps only the others; a complete map is
     then tested only against the p that fix its first image, since every
-    other kept p moves that image higher.
+    other kept p moves that image higher. The empty anchor map of an
+    empty pattern has no first image and is never skipped.
 
     The pool, its rows and the automorphisms are kept on g per radius,
     for as long as g lives: a pair settled by one search stays settled
@@ -582,7 +578,7 @@ def search_induced_embedding_ext(pattern, g, radius):
         pattern.adjacent, anchors, anchor_domains, lambda d, mask: nbrs[d] & mask
     ):
         t = list(amap.values())
-        if any(p[t[0]] == t[0] and [p[i] for i in t] < t for p in autos):
+        if t and any(p[t[0]] == t[0] and [p[i] for i in t] < t for p in autos):
             continue
         free = everything
         for ai in t:
@@ -603,9 +599,13 @@ def search_induced_embedding_ext(pattern, g, radius):
         found = next(induced_maps(pattern.adjacent, order, domains, row), None)
         if found is not None:
             amap.update(found)
-            witness = {pv: _decode_vertex(g, alphabet, pool[i]) for pv, i in amap.items()}
-            # Only the witness is decoded, so check the decoded vertices
-            # against the pattern through the public pair test.
+            # Only the witness is decoded, each vertex built by ``ext_vertex``
+            # as ``enumerate_vertices`` builds it; check the decoded
+            # vertices against the pattern through the public pair test.
+            witness = {}
+            for pv, d in amap.items():
+                i, x, _ = pool[d]
+                witness[pv] = ext_vertex(g, g.vertices[i], _decode(alphabet, x))
             for p, q in combinations(pattern.vertices, 2):
                 if ext_adjacent(g, witness[p], witness[q]) != pattern.adjacent(p, q):
                     raise InvariantViolation(

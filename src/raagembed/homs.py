@@ -45,14 +45,17 @@ class GroupMap:
         for v in domain.vertices:
             if v not in images:
                 raise ValueError(f"no image word for generator {v!r}")
+        # The bounded checks read images through the codomain's letter
+        # table, so every image letter must be in it, sign included.
+        ids = _alphabet(codomain).ids
         for v, w in images.items():
             if v not in domain:
                 raise ValueError(f"image for unknown domain vertex {v!r}")
             for lt in w:
                 if lt.base not in codomain:
-                    raise ValueError(
-                        f"image of {v!r} uses unknown vertex {lt.base!r}"
-                    )
+                    raise ValueError(f"image of {v!r} uses unknown vertex {lt.base!r}")
+                if lt not in ids:
+                    raise ValueError(f"image of {v!r} uses unknown letter {lt!r}")
         self.domain = domain
         self.codomain = codomain
         self.images = {v: tuple(w) for v, w in images.items()}

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from raagembed import acceptance
+from raagembed.constructions import t2_graph
 from raagembed.graphs import _ordered_edges, all_trees
 from raagembed.oracle import all_words
 from raagembed.words import Letter, commute_elements
@@ -124,6 +125,22 @@ def test_criterion_10_failure_is_a_json_report(monkeypatch):
     assert failures == [
         [4, {"vertices": list(planted.vertices), "edges": edges}]
     ]
+
+
+def test_theorem_b_variants_are_the_tripod_with_extra_edges():
+    # Each variant in the canonical edge order of its output: the six
+    # tripod edges of t2_graph, with b-c, then a-b, then a-c added.
+    got = [_ordered_edges(g) for g in acceptance.theorem_b_variants()]
+    assert got == [
+        [("p", "a"), ("a", "x"), ("x", "b"), ("x", "c"), ("b", "q"), ("b", "c"),
+         ("c", "r")],
+        [("p", "a"), ("a", "x"), ("a", "b"), ("x", "b"), ("x", "c"), ("b", "q"),
+         ("b", "c"), ("c", "r")],
+        [("p", "a"), ("a", "x"), ("a", "b"), ("a", "c"), ("x", "b"), ("x", "c"),
+         ("b", "q"), ("b", "c"), ("c", "r")],
+    ]
+    for g in acceptance.theorem_b_variants():
+        assert g.vertices == t2_graph().vertices
 
 
 def test_criterion_11_push_to_base_sampling():

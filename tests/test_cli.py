@@ -121,6 +121,16 @@ def test_embed_search_reports_no_witness(capsys, t2_file, tmp_path):
     assert "no anchored witness within radius 2" in capsys.readouterr().out
 
 
+def test_embed_search_with_an_empty_pattern(capsys, p5_file, tmp_path):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("vertices:\n")
+    out_file = tmp_path / "witness.json"
+    argv = ["embed-search", "--graph", p5_file, "--pattern", str(empty), "--radius", "1"]
+    assert run([*argv, "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == "witness within radius 1:\n"
+    assert json.loads(out_file.read_text())["witness"] == {}
+
+
 def test_push_to_base_and_precondition(capsys, tmp_path):
     p6 = tmp_path / "p6.graph"
     p6.write_text(format_graph(make_path(6)))

@@ -31,6 +31,7 @@ from raagembed.graphs import (
 from raagembed.words import (
     Letter,
     _alphabet,
+    _decode,
     _inverse_ids,
     _reduced_ids,
     canonical_words,
@@ -192,6 +193,17 @@ def _untagged(v):
     return ExtVertex(v.base, v.conjugator, v.key)
 
 
+def _fields(v):
+    return v.base, v.conjugator, v.key, v._alphabet, v._a
+
+
+def _pool_vertex(g, record):
+    """The vertex of a ``_pool`` record, built as the search builds its
+    witness vertices."""
+    i, x, _ = record
+    return ext_vertex(g, g.vertices[i], _decode(_alphabet(g), x))
+
+
 def _assert_tag_matches_the_full_route(g, v):
     """v was built on g: ``_vertex_ids`` reads its tag there, and must
     give what the full route gives for the untagged copy."""
@@ -333,7 +345,8 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder(monkeypatch):
         assert alphabet is not _alphabet(g)
         for u in sample:
             wrong = (u._a + 2) % (2 * len(g))
-            forged = ExtVertex(u.base, u.conjugator, u.key, u._alphabet, wrong)
+            forged = _untagged(u)
+            forged._alphabet, forged._a = u._alphabet, wrong
             assert extgraph._vertex_ids(alphabet, forged) == extgraph._vertex_ids(
                 alphabet, _untagged(u)
             )
@@ -658,25 +671,26 @@ def test_tagged_vertex_ids_match_the_full_route(g, radius):
 def test_pool_records_match_the_vertex_route(g, radius):
     alphabet = _alphabet(g)
     for record in extgraph._pool(g, radius):
-        v = extgraph._decode_vertex(g, alphabet, record)
-        # Decoded vertices are untagged, so this is the full route.
-        assert v._alphabet is None
-        assert record[3] == extgraph._vertex_ids(alphabet, v), v
-        rebuilt = ext_vertex(g, v.base, v.conjugator)
-        assert (rebuilt.key, rebuilt.conjugator) == (v.key, v.conjugator), v
+        i, x, triple = record
+        v = _pool_vertex(g, record)
+        # ext_vertex keeps the record's conjugator, and its key is the
+        # normal form of the record's word x^-1 a x.
+        assert (v.base, v.conjugator) == (g.vertices[i], _decode(alphabet, x)), v
+        assert v.key == normal_form(g, _decode(alphabet, triple[0])), v
+        # The untagged copy takes the full route.
+        assert triple == extgraph._vertex_ids(alphabet, _untagged(v)), v
 
 
 def test_pool_supports_are_intervals_holding_the_base():
     for n in range(3, 9):
         g = make_path(n)
-        alphabet = _alphabet(g)
         for record in extgraph._pool(g, 3):
-            v = extgraph._decode_vertex(g, alphabet, record)
+            v = _pool_vertex(g, record)
             got = support(g, v.key)
             where = sorted(g.index(u) for u in got)
             assert where == list(range(where[0], where[-1] + 1)), v
             assert v.base in got, v
-            mask = record[3][1]
+            mask = record[2][1]
             assert got == {g.vertices[c >> 1] for c in range(2 * n) if mask >> c & 1}, v
 
 
@@ -734,9 +748,9 @@ def test_pool_rows_match_the_commutator_on_every_pair(g, radius):
     # takes no support or link shortcut. Rows are first asked for a
     # seeded part of the pool, in a seeded order, so that pairs are
     # settled from either side before the full rows are read.
-    alphabet = _alphabet(g)
     pool = extgraph._pool(g, radius)
-    keys = [extgraph._decode_vertex(g, alphabet, r).key for r in pool]
+    vertices = [_pool_vertex(g, r) for r in pool]
+    keys = [v.key for v in vertices]
     row = extgraph._pool_rows(g, pool)
     everything = (1 << len(pool)) - 1
     rng = random.Random(f"{g!r}:{radius}")
@@ -751,7 +765,7 @@ def test_pool_rows_match_the_commutator_on_every_pair(g, radius):
             for c in range(len(pool))
             if c != d and not commute_elements(g, keys[d], keys[c])
         )
-        assert got == want, str(extgraph._decode_vertex(g, alphabet, pool[d]))
+        assert got == want, str(vertices[d])
 
 
 # a spine of four with one hair on each interior vertex
@@ -794,15 +808,14 @@ def test_search_evaluates_no_pool_pair_twice(monkeypatch, pattern, n, found, lea
 
 
 def test_search_checks_the_witness_it_decodes(monkeypatch):
-    # Decoded vertices are untagged (test_pool_records_match_the_vertex_route),
-    # so the check re-derives every triple from the decoded letters; the
-    # forged ones are untagged too.
-    decode = extgraph._decode_vertex
+    # The search builds each witness vertex with ext_vertex from the
+    # decoded letters; one that drops the conjugator must be caught.
+    build = extgraph.ext_vertex
 
-    def drops_the_conjugator(g, alphabet, record):
-        return _untagged(ext_vertex(g, decode(g, alphabet, record).base))
+    def drops_the_conjugator(g, base, w=()):
+        return build(g, base)
 
-    monkeypatch.setattr(extgraph, "_decode_vertex", drops_the_conjugator)
+    monkeypatch.setattr(extgraph, "ext_vertex", drops_the_conjugator)
     with pytest.raises(InvariantViolation, match="decoded witness disagrees"):
         search_induced_embedding_ext(HAIRY_H, make_path(8), 2)
 
@@ -885,17 +898,21 @@ def _filter_targets():
     return targets + [SimplicialGraph(vs, make_path(8).edges)]
 
 
-def _filter_searches():
-    """The witness texts of every tree with <= 7 vertices and C4-C6 into
-    each ``_filter_targets`` graph at radii 0-2, on fresh target objects."""
+def _filter_cases():
+    """(g, radius, witness) for every tree with <= 7 vertices and C4-C6
+    into each ``_filter_targets`` graph at radii 0-2, on fresh target
+    objects."""
     patterns = [t for k in range(1, 8) for t in all_trees(k)]
     patterns += [make_cycle(n) for n in (4, 5, 6)]
-    return [
-        _witness_text(search_induced_embedding_ext(t, g, radius))
-        for g in _filter_targets()
-        for radius in range(3)
-        for t in patterns
-    ]
+    for g in _filter_targets():
+        for radius in range(3):
+            for t in patterns:
+                yield g, radius, search_induced_embedding_ext(t, g, radius)
+
+
+def _filter_searches():
+    """The witness texts of the ``_filter_cases`` searches."""
+    return [_witness_text(found) for _, _, found in _filter_cases()]
 
 
 def test_the_automorphism_filter_changes_no_answer(monkeypatch):
@@ -912,6 +929,39 @@ def test_the_automorphism_filter_changes_no_answer(monkeypatch):
     # the digest of the answers before the filter existed
     digest = hashlib.sha256(b"".join(repr(w).encode() for w in kept)).hexdigest()
     assert digest.startswith("54b700b6860e02d0")
+
+
+def test_search_witnesses_are_built_by_ext_vertex():
+    # Each witness vertex carries the tag of the target's alphabet, is the
+    # vertex that ext_vertex builds on its base and conjugator, and has
+    # its pool record's triple on the full route.
+    checked = 0
+    for g, radius, witness in _filter_cases():
+        if witness is None:
+            continue
+        alphabet = _alphabet(g)
+        triples = {(i, x): triple for i, x, triple in g._pools[radius][0]}
+        for v in witness.values():
+            assert v._alphabet is alphabet
+            assert _fields(v) == _fields(ext_vertex(g, v.base, v.conjugator))
+            x = tuple(alphabet.ids[lt] for lt in v.conjugator)
+            triple = triples[g.index(v.base), x]
+            assert triple == extgraph._vertex_ids(alphabet, _untagged(v)), v
+            checked += 1
+    assert checked == 1000
+    # The public constructor builds an untagged vertex and takes no tag.
+    v = ExtVertex("x1", word("x2"), word("x2^-1", "x1", "x2"))
+    assert (v._alphabet, v._a) == (None, 0)
+    with pytest.raises(TypeError):
+        ExtVertex(v.base, v.conjugator, v.key, _alphabet(P5), 0)
+
+
+def test_search_with_an_empty_pattern_returns_the_empty_witness():
+    empty = SimplicialGraph([])
+    for g in (make_path(3), P5, SimplicialGraph([])):
+        found = search_induced_embedding_ext(empty, g, 1)
+        assert found == {}
+        assert verify_witness(empty, g, found)
 
 
 def test_the_filter_halves_the_tripod_anchor_maps_into_p7(monkeypatch):

@@ -229,6 +229,9 @@ def test_group_map_refuses_images_off_its_graphs():
         GroupMap(p2, p2, {"x1": word("x1")})
     with pytest.raises(ValueError, match="unknown vertex 'zz'"):
         GroupMap(p2, p2, {**images, "x2": word("zz")})
+    # A letter on a codomain vertex but with no sign the letter table holds.
+    with pytest.raises(ValueError, match="unknown letter Letter.base='x1', sign=2."):
+        GroupMap(p2, p2, {**images, "x2": (Letter("x1", 2),)})
 
 
 def test_trimmed_center_image_is_still_a_homomorphism():
