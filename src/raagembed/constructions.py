@@ -31,6 +31,7 @@ from .homs import (
     induced_map,
 )
 from .words import (
+    Letter,
     format_word,
     is_trivial,
     iterated_commutator,
@@ -104,7 +105,7 @@ def _block_witness(path, v, leaves, block):
     consecutive vertices of ``path``: v goes to the first block vertex
     conjugated by the rest of the block and its j-th leaf to the 2j-th
     block vertex. A leafless v is a block of one and goes to itself."""
-    out = {v: ext_vertex(path, block[0], word(*block[1:]))}
+    out = {v: ext_vertex(path, block[0], tuple([Letter(b, 1) for b in block[1:]]))}
     for j, leaf in enumerate(leaves, start=1):
         out[leaf] = ext_vertex(path, block[2 * j - 1])
     return out

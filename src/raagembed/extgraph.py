@@ -45,22 +45,28 @@ class ExtVertex:
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element.
 
-    The constructor builds an untagged vertex, with ``_alphabet`` None.
-    Only ``ext_vertex``, which proves x^-1 a x reduced, sets the tag:
-    ``_alphabet``, the id tables of the graph that built it, and ``_a``,
-    the id of its base there. They are references, not ids or masks of
-    the vertex, and ``_vertex_ids`` trusts them only for that one
-    alphabet object.
+    Only ``ext_vertex`` builds one, from the id words it proved: the
+    constructor takes the building graph's id tables (``_alphabet``), the
+    base id there (``_a``), the conjugator and the key, and decodes the
+    two words. ``base`` is read off this tag, which ``_vertex_ids``
+    trusts only on that one alphabet object.
     """
 
-    __slots__ = ("base", "conjugator", "key", "_alphabet", "_a")
+    __slots__ = ("conjugator", "key", "_alphabet", "_a")
 
-    def __init__(self, base, conjugator, key):
-        self.base = base
-        self.conjugator = conjugator
-        self.key = key
-        self._alphabet = None
-        self._a = 0
+    def __init__(self, alphabet, a, conj, key):
+        if conj:
+            self.conjugator = _decode(alphabet, conj)
+            self.key = _decode(alphabet, key)
+        else:
+            # Most witness vertices are generators, keyed by their letter.
+            self.conjugator, self.key = (), (alphabet.letters[a],)
+        self._alphabet = alphabet
+        self._a = a
+
+    @property
+    def base(self):
+        return self._alphabet.letters[self._a].base
 
     @property
     def radius(self):
@@ -99,7 +105,7 @@ def _vertex_ids(alphabet, v):
     home = v._alphabet is alphabet
     try:
         conj = [ids[lt] for lt in v.conjugator]
-        a = v._a if home else ids[Letter(v.base, 1)]
+        a = v._a if home else ids[v._alphabet.letters[v._a]]
     except KeyError as exc:
         raise ValueError(f"unknown letter {exc.args[0]!r}") from None
     if not conj:
@@ -145,27 +151,24 @@ def ext_vertex(g, base, w=()):
     alphabet = _alphabet(g)
     a = 2 * g.index(base)
     if not w:
-        v = ExtVertex(base, (), (alphabet.letters[a],))
-    else:
-        stops, links = alphabet.stops, alphabet.links
-        u = _normal_form_ids(stops, _encode(alphabet, w))
-        # A letter is kept when it is in the link of a or blocked by a
-        # letter kept before it; any other letter shuffles to the front and
-        # commutes with a. Stripping a letter changes no earlier letter's
-        # test, so one pass strips all that rescanning would.
-        link = links[a]
-        conj = []
-        blocked = 0
-        for c in u:
-            if (link | blocked) >> c & 1:
-                conj.append(c)
-                blocked |= links[c]
-        if len(conj) < len(u):
-            conj = _normal_form_ids(stops, conj)
-        key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
-        v = ExtVertex(base, _decode(alphabet, conj), _decode(alphabet, key))
-    v._alphabet, v._a = alphabet, a
-    return v
+        return ExtVertex(alphabet, a, (), (a,))
+    stops, links = alphabet.stops, alphabet.links
+    u = _normal_form_ids(stops, _encode(alphabet, w))
+    # A letter is kept when it is in the link of a or blocked by a letter
+    # kept before it; any other letter shuffles to the front and commutes
+    # with a. Stripping a letter changes no earlier letter's test, so one
+    # pass strips all that rescanning would.
+    link = links[a]
+    conj = []
+    blocked = 0
+    for c in u:
+        if (link | blocked) >> c & 1:
+            conj.append(c)
+            blocked |= links[c]
+    if len(conj) < len(u):
+        conj = _normal_form_ids(stops, conj)
+    key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
+    return ExtVertex(alphabet, a, conj, key)
 
 
 def format_ext_vertex(v):
@@ -181,9 +184,7 @@ def parse_ext_vertex(text, g, name="<ext-vertex>"):
         return ext_vertex(g, text) if text in g else _bad_ext(name, text)
     base, _, rest = text.partition("^")
     rest = rest.strip()
-    if not (rest.startswith("(") and rest.endswith(")")):
-        return _bad_ext(name, text)
-    if base not in g:
+    if base not in g or not (rest.startswith("(") and rest.endswith(")")):
         return _bad_ext(name, text)
     w = parse_word(rest[1:-1], g, name=name)
     return ext_vertex(g, base, w)

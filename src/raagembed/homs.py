@@ -17,6 +17,7 @@ from .words import (
     Letter,
     _alphabet,
     _bits,
+    _encode,
     _extend_reduced_ids,
     _inverse_ids,
     _normal_form_ids,
@@ -48,9 +49,11 @@ class GroupMap:
         # The bounded checks read images through the codomain's letter
         # table, so every image letter must be in it, sign included.
         ids = _alphabet(codomain).ids
+        kept = {}
         for v, w in images.items():
             if v not in domain:
                 raise ValueError(f"image for unknown domain vertex {v!r}")
+            w = kept[v] = tuple(w)
             for lt in w:
                 if lt.base not in codomain:
                     raise ValueError(f"image of {v!r} uses unknown vertex {lt.base!r}")
@@ -58,13 +61,15 @@ class GroupMap:
                     raise ValueError(f"image of {v!r} uses unknown letter {lt!r}")
         self.domain = domain
         self.codomain = codomain
-        self.images = {v: tuple(w) for v, w in images.items()}
+        self.images = kept
 
     def apply(self, w):
+        """The literal image of w; ValueError for a letter off the domain."""
+        vertices = self.domain.vertices
         out = []
-        for lt in w:
-            image = self.images[lt.base]
-            out.extend(image if lt.sign > 0 else inverse(image))
+        for c in _encode(_alphabet(self.domain), w):
+            image = self.images[vertices[c >> 1]]
+            out.extend(inverse(image) if c & 1 else image)
         return tuple(out)
 
 

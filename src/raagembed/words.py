@@ -24,14 +24,11 @@ class Letter(NamedTuple):
 
 
 def word(*tokens):
-    """Build a word from vertex labels; a trailing '^-1' inverts a token."""
-    out = []
-    for t in tokens:
-        if t.endswith("^-1"):
-            out.append(Letter(t[:-3], -1))
-        else:
-            out.append(Letter(t, 1))
-    return tuple(out)
+    """A word of one letter per token, read by ``parse_word``'s rule."""
+    w = parse_word(" ".join(tokens))
+    if len(w) != len(tokens):
+        raise GraphParseError(f"<word>: {tokens!r} is not one letter per token")
+    return w
 
 
 def inverse(w):
@@ -386,14 +383,10 @@ def reduced_words(g, max_len):
 def parse_word(text, g=None, name="<word>"):
     out = []
     for tok in text.split():
-        if tok.endswith("^-1"):
-            base, sign = tok[:-3], -1
-        elif "^" in tok:
+        sign = -1 if tok.endswith("^-1") else 1
+        base = tok[:-3] if sign < 0 else tok
+        if not base or "^" in base:
             raise GraphParseError(f"{name}: bad token {tok!r} (use v or v^-1)")
-        else:
-            base, sign = tok, 1
-        if not base:
-            raise GraphParseError(f"{name}: bad token {tok!r}")
         if g is not None and base not in g:
             raise GraphParseError(f"{name}: {base!r} is not a vertex")
         out.append(Letter(base, sign))

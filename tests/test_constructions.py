@@ -14,7 +14,15 @@ from raagembed.constructions import (
     t2_graph,
 )
 from raagembed.errors import InvariantViolation
-from raagembed.extgraph import format_ext_vertex, induced_ext_subgraph
+from raagembed.extgraph import (
+    ExtVertex,
+    enumerate_vertices,
+    ext_vertex,
+    format_ext_vertex,
+    induced_ext_subgraph,
+    parse_ext_vertex,
+    search_induced_embedding_ext,
+)
 from raagembed.graphs import (
     SimplicialGraph,
     all_trees,
@@ -24,7 +32,7 @@ from raagembed.graphs import (
     make_tripod,
 )
 from raagembed.homs import bounded_injectivity, check_relator_preservation
-from raagembed.words import word
+from raagembed.words import _alphabet, word
 from test_graphs import is_isomorphic
 
 FIG6_TREE = SimplicialGraph(
@@ -190,3 +198,43 @@ def test_label_collisions_get_primed():
     assert second.kind == "deg1k" and second.vertex == "a1"
     assert second.new_labels == ("x1'", "x2'", "x3'")
     assert format_ext_vertex(second.ext_witness["a1"]) == "x1'^(x2' x3')"
+
+
+def _assert_built_on(g, vertices):
+    """Each vertex carries the tag of g's alphabet and is the vertex that
+    ext_vertex builds on g from its base and conjugator."""
+    alphabet = _alphabet(g)
+    for v in vertices:
+        assert v._alphabet is alphabet, v
+        rebuilt = ext_vertex(g, v.base, v.conjugator)
+        assert (v.base, v.conjugator, v.key, v._a) == (
+            rebuilt.base,
+            rebuilt.conjugator,
+            rebuilt.key,
+            rebuilt._a,
+        ), v
+
+
+def test_every_public_builder_tags_its_vertices_on_its_graph():
+    p5 = make_path(5)
+    _assert_built_on(p5, [ext_vertex(p5, "x2"), ext_vertex(p5, "x1", word("x5", "x2"))])
+    _assert_built_on(
+        p5, [parse_ext_vertex("x3", p5), parse_ext_vertex("x1^(x2 x3^-1)", p5)]
+    )
+    _assert_built_on(p5, enumerate_vertices(p5, 2))
+    p7 = make_path(7)
+    found = search_induced_embedding_ext(make_tripod(1, 1, 2), p7, 2)
+    assert any(v.conjugator for v in found.values())
+    _assert_built_on(p7, found.values())
+    hw = hairy_witness(FIG6_TREE)
+    _assert_built_on(hw.path, hw.assignment.values())
+    move = move_deg1k(leafy(2), "x")
+    _assert_built_on(move.new_graph, move.ext_witness.values())
+
+
+def test_a_vertex_cannot_be_built_from_three_fields():
+    # Three fields that disagree (the key x2 is no conjugate of x1) made a
+    # vertex equal to x2 that printed as x1; only ext_vertex builds one.
+    with pytest.raises(TypeError):
+        ExtVertex("x1", (), word("x2"))
+    assert "base" not in ExtVertex.__slots__

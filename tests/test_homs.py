@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -232,6 +233,22 @@ def test_group_map_refuses_images_off_its_graphs():
     # A letter on a codomain vertex but with no sign the letter table holds.
     with pytest.raises(ValueError, match="unknown letter Letter.base='x1', sign=2."):
         GroupMap(p2, p2, {**images, "x2": (Letter("x1", 2),)})
+    # ``apply`` reads its letters through the domain's letter table too.
+    m = GroupMap(p2, p2, {"x1": word("x1", "x2"), "x2": word("x2")})
+    for bad in (Letter("x1", 0), Letter("x1", 2), Letter("zz", 1)):
+        with pytest.raises(ValueError, match=f"unknown letter {re.escape(repr(bad))}"):
+            m.apply(word("x2") + (bad,))
+    assert m.apply(word("x1^-1", "x2")) == word("x2^-1", "x1^-1", "x2")
+
+
+def test_group_map_keeps_one_shot_images():
+    p3 = make_path(3)
+    m = GroupMap(p3, p3, {v: iter(word(v)) for v in p3.vertices})
+    assert m.images == {v: word(v) for v in p3.vertices}
+    assert check_relator_preservation(m)
+    assert bounded_injectivity(m, 2)["violations"] == []
+    m = GroupMap(p3, p3, {v: (lt for lt in word("x1", v)) for v in p3.vertices})
+    assert m.images["x3"] == word("x1", "x3")
 
 
 def test_trimmed_center_image_is_still_a_homomorphism():

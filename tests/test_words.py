@@ -613,3 +613,23 @@ def test_parse_rejects_bad_tokens():
         parse_word("x1^2", P5)
     with pytest.raises(GraphParseError):
         parse_word("y7", P5)
+
+
+def test_word_reads_each_token_as_parse_word_does():
+    cases = [(), ("x1",), ("x1", "x2^-1", "x3"), ("a", "b^-1", "a^-1"), ("x^-1",)]
+    for tokens in cases:
+        assert word(*tokens) == parse_word(" ".join(tokens))
+    assert word("x1", "x2^-1") == (Letter("x1", 1), Letter("x2", -1))
+    assert word("x3^-1", "x1") == parse_word("x3^-1 x1", P5)
+
+
+def test_word_and_parse_word_refuse_the_same_bad_tokens():
+    for token in ["x^2", "^-1", "x1^-1^-1", "^", "x^"]:
+        with pytest.raises(GraphParseError):
+            word(token)
+        with pytest.raises(GraphParseError):
+            parse_word(token)
+    # A token that is not one letter: two letters, or none.
+    for tokens in [("a b",), ("x1", ""), ("x1", " ")]:
+        with pytest.raises(GraphParseError, match="one letter per token"):
+            word(*tokens)
