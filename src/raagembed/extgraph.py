@@ -27,7 +27,6 @@ from .words import (
     _extend_reduced_ids,
     _inverse_ids,
     _normal_form_ids,
-    _reduced_ids,
     _words,
     commute_elements,
     equal,
@@ -48,8 +47,8 @@ class ExtVertex:
     Only ``ext_vertex`` builds one, from the id words it proved: the
     constructor takes the building graph's id tables (``_alphabet``), the
     base id there (``_a``), the conjugator and the key, and decodes the
-    two words. ``base`` is read off this tag, which ``_vertex_ids``
-    trusts only on that one alphabet object.
+    two words. ``base`` is read off this tag, and the vertex is read
+    only on that graph: ``_on`` rebuilds it for any other.
     """
 
     __slots__ = ("conjugator", "key", "_alphabet", "_a")
@@ -87,38 +86,38 @@ class ExtVertex:
         return f"ExtVertex({format_ext_vertex(self)!r})"
 
 
-def _vertex_ids(alphabet, v):
-    """v = a^(x) in the letter ids of ``alphabet``: the triple (the ids of
-    the word x^-1 a x, the id mask of its support, that mask plus the
-    neighbours of every support vertex), masks taking both signs of a
-    vertex.
-
-    The support is read in one loop on either route, seeded with a: every
-    reduced word for a conjugate of a holds a letter of a, since its
-    a-exponents sum to 1. On the alphabet whose graph built v
-    (``v._alphabet is alphabet``), ``ext_vertex`` has proved x^-1 a x
-    reduced, so the loop reads the letters of x, and a is read off the
-    tag. On any other alphabet, even that of an equal graph, it reads the
-    word reduced here, so the support is right for any graph on v's
-    labels. A label that is not on the graph raises ValueError."""
+def _vertex_ids(v):
+    """v = a^(x) in the letter ids of the graph whose ``ext_vertex`` built
+    it: the triple (the ids of the word x^-1 a x, the id mask of its
+    support, that mask plus the neighbours of every support vertex), masks
+    taking both signs of a vertex. ``ext_vertex`` has proved x^-1 a x
+    reduced there, so the support is a, read off the tag, with the letters
+    of x. A vertex is read only there: ``_on`` rebuilds any other."""
+    alphabet, a = v._alphabet, v._a
     ids, stops = alphabet.ids, alphabet.stops
-    home = v._alphabet is alphabet
-    try:
-        conj = [ids[lt] for lt in v.conjugator]
-        a = v._a if home else ids[v._alphabet.letters[v._a]]
-    except KeyError as exc:
-        raise ValueError(f"unknown letter {exc.args[0]!r}") from None
-    if not conj:
-        # A generator is its own reduced word on either route, so no key
-        # is built or reduced. Most vertices of the hairy and move
-        # witnesses are generators, and their pair checks pass here.
+    if not v.conjugator:
+        # A generator is its own reduced word, so no key is built. Most
+        # vertices of the hairy and move witnesses are generators, and
+        # their pair checks pass here.
         return (a,), 3 << a, stops[a]
-    key = tuple(_inverse_ids(conj) + [a] + conj)
+    conj = [ids[lt] for lt in v.conjugator]
     support, reach = 3 << a, stops[a]
-    for c in conj if home else _reduced_ids(stops, key):
+    for c in conj:
         support |= 3 << (c & ~1)
         reach |= stops[c]
-    return key, support, reach
+    return tuple(_inverse_ids(conj) + [a] + conj), support, reach
+
+
+def _on(g, vertices):
+    """The vertices as vertices of g: each built on another graph object,
+    an equal one too, is rebuilt by ``ext_vertex`` from its base and
+    conjugator. Every key is then g's normal form, so equal keys are
+    equal elements of g. A base or letter not on g raises ValueError."""
+    alphabet = _alphabet(g)
+    return [
+        v if v._alphabet is alphabet else ext_vertex(g, v.base, v.conjugator)
+        for v in vertices
+    ]
 
 
 def _conjugate_key(alphabet, w):
@@ -195,19 +194,20 @@ def _bad_ext(name, text):
 
 
 def ext_adjacent(g, u, v):
-    """Adjacent iff the two conjugates do not commute: distinct keys, then
-    ``_adjacent_ids`` on the pair's ``_vertex_ids`` in g."""
+    """Adjacent iff the two conjugates do not commute in g: distinct keys,
+    then ``_adjacent_ids`` on the pair's ``_vertex_ids``. A vertex built
+    on another graph is first rebuilt on g (``_on``)."""
+    alphabet = _alphabet(g)
+    if u._alphabet is not alphabet or v._alphabet is not alphabet:
+        u, v = _on(g, (u, v))
     if u.key == v.key:
         return False
-    alphabet = _alphabet(g)
-    return _adjacent_ids(alphabet, _vertex_ids(alphabet, u), _vertex_ids(alphabet, v))
+    return _adjacent_ids(alphabet, _vertex_ids(u), _vertex_ids(v))
 
 
 def _adjacent_ids(alphabet, iu, iv):
-    """Whether two vertices with distinct keys, given as ``_vertex_ids``
-    triples, do not commute: the one pair routine on ids. Vertices built
-    on another graph may have distinct keys and still be one element
-    here (x1 and x1^(x5) built on C5 are both x1 over P5).
+    """Whether two distinct elements of the graph of ``alphabet``, as
+    ``_vertex_ids`` triples, do not commute: the one pair routine on ids.
 
     Write u = a^(x) with the shorter conjugator and v = b^(y); a and x
     are read off the triple's word x^-1 a x, and b is the middle id of
@@ -222,12 +222,11 @@ def _adjacent_ids(alphabet, iu, iv):
     b = a, a^(z) would be a^m w with w on the star of a less a; the
     retraction onto that smaller star sends a^(z) to 1 and a^m w to w,
     so w = 1, and the exponent sum of a gives m = 1: two commuting
-    vertices on one base are one element. Distinct keys need not be
-    distinct elements here, so that rule is left to ``_pool_rows``.
-    Otherwise conjugating by x^-1 turns v into the reduced word z of
-    x y^-1 b y x^-1, and the two commute iff the link of a misses the
-    support of z. When u is a generator, z is v's word, whose support is
-    known. No reduction runs in the first three cases.
+    vertices on one base are one element, so distinct ones do not
+    commute either. Otherwise conjugating by x^-1 turns v into the
+    reduced word z of x y^-1 b y x^-1, and the two commute iff the link
+    of a misses the support of z. When u is a generator, z is v's word,
+    whose support is known. No reduction runs in the first three cases.
     """
     if len(iv[0]) < len(iu[0]):
         iu, iv = iv, iu
@@ -236,15 +235,15 @@ def _adjacent_ids(alphabet, iu, iv):
     if not reach & support:
         return False
     k = len(ku) >> 1
-    link = alphabet.links[ku[k]]
-    if link >> kv[len(kv) >> 1] & 1:
+    a = ku[k]
+    if alphabet.stops[a] >> kv[len(kv) >> 1] & 1:
         return True
+    link = alphabet.links[a]
     if not k:
         return bool(link & support)
-    # x is reduced in the graph that built u, not necessarily in this one,
-    # so z is reduced from nothing rather than from x.
-    z = []
-    _extend_reduced_ids(alphabet.stops, z, ku[k + 1:] + kv + ku[:k])
+    # x is reduced, so z is reduced from x onwards.
+    z = list(ku[k + 1:])
+    _extend_reduced_ids(alphabet.stops, z, kv + ku[:k])
     for c in z:
         if link >> c & 1:
             return True
@@ -299,7 +298,7 @@ def _pool(g, radius):
         a = 2 * i
         w = _inverse_ids(x) + [a, *x]
         _conjugate_key(alphabet, w)  # the reducedness check; no key is kept
-        # The home-route loop of ``_vertex_ids``, x^-1 a x being reduced;
+        # The support loop of ``_vertex_ids``, x^-1 a x being reduced;
         # a shared helper would cost ``ext_adjacent`` two calls per pair,
         # and its one call per pool vertex here put the ``ext_search``
         # benchmark's ``latency_tail_ms`` up 4% in paired runs.
@@ -339,10 +338,11 @@ def _distinct_ext_edges(g, vertices):
     """``_ext_edges``, or None if two vertices are equal elements. Each
     pair is asked once in ``combinations`` order, with no early exit, so
     that one routine serves the accepting and the rejecting callers."""
+    vertices = _on(g, vertices)
     if len({v.key for v in vertices}) != len(vertices):
         return None
     alphabet = _alphabet(g)
-    ids = [_vertex_ids(alphabet, v) for v in vertices]
+    ids = [_vertex_ids(v) for v in vertices]
     return frozenset(
         (i, j)
         for i, j in combinations(range(len(vertices)), 2)
@@ -363,7 +363,7 @@ def push_to_base(g, items):
     inverse on the right lands item i on bases[i]. Each step fixes the
     vertices already placed, so the set is moved one vertex at a time.
     """
-    items = list(items)
+    items = _on(g, items)
     edges = _ext_edges(g, items)
     if edges:
         i, j = min(edges)
@@ -436,10 +436,9 @@ def _pool_rows(g, pool):
     vertex exactly when it neighbours that vertex's support: the two
     facts ``_adjacent_ids`` answers first. The records are distinct
     elements of g, so two of them on equal or adjacent bases do not
-    commute (the base rule of ``_adjacent_ids``, whose equal-base half
-    needs the elements distinct). So one pass over the records builds,
-    per vertex b of g, the mask of the pool vertices whose support holds
-    b and the mask of those on base b. The pool starts with the
+    commute (the base rule of ``_adjacent_ids``). So one pass over the
+    records builds, per vertex b of g, the mask of the pool vertices
+    whose support holds b and the mask of those on base b. The pool starts with the
     generators in vertex order, so a generator's pool index is its vertex
     index: a generator's row is the OR of the support masks over its
     link, and the generator part of another vertex's row is the mask of

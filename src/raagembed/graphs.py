@@ -17,23 +17,29 @@ from .errors import GraphParseError
 class SimplicialGraph:
     """Finite undirected loop-free graph.
 
-    Vertices are short string labels; ``vertices`` fixes the canonical
-    total order. ``_masks[i]`` is the bitmask of the indices of vertex i's
-    neighbours, the one record of the adjacency: the predicates here and
-    the id tables of ``words`` and ``extgraph`` read it, and ``edges``
-    and ``neighbors()`` turn it into labels on each call. ``_alphabet``
-    holds the letter-id tables of ``words``, built on first use;
-    ``_pools`` maps a radius to the pool, adjacency rows and kept
-    automorphisms of ``extgraph``'s search, each built on the first
-    search at that radius.
+    Vertices are string labels that a word can name (no whitespace, no
+    '^'); ``vertices`` fixes the canonical total order. ``_masks[i]`` is
+    the bitmask of the indices of vertex i's neighbours, the one record
+    of the adjacency: the predicates here and the id tables of ``words``
+    and ``extgraph`` read it, and ``edges`` and ``neighbors()`` turn it
+    into labels on each call. ``_alphabet`` holds the letter-id tables
+    of ``words``, built on first use; ``_pools`` maps a radius to the
+    pool, adjacency rows and kept automorphisms of ``extgraph``'s
+    search, each built on the first search at that radius.
     """
 
     __slots__ = ("vertices", "_index", "_masks", "_alphabet", "_pools")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
-        if any((not v) or not isinstance(v, str) for v in vertices):
-            raise ValueError("vertex labels must be nonempty strings")
+        for v in vertices:
+            if not v or not isinstance(v, str):
+                raise ValueError("vertex labels must be nonempty strings")
+            if "^" in v or v.split() != [v]:
+                raise ValueError(
+                    f"vertex label {v!r} holds whitespace or '^', "
+                    "which the word syntax cannot write"
+                )
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(vertices)}
@@ -505,14 +511,7 @@ def parse_graph(text, name="<graph>"):
 
 
 def _read_graph(vertices, edges, name):
-    """The graph on the parsed labels. A label with whitespace or '^' is
-    refused, since no word or extension vertex on it can be written."""
-    for v in vertices:
-        if isinstance(v, str) and ("^" in v or any(c.isspace() for c in v)):
-            raise GraphParseError(
-                f"{name}: vertex label {v!r} holds whitespace or '^', "
-                "which the word syntax cannot write"
-            )
+    """The graph on the parsed labels, a refused one as GraphParseError."""
     try:
         return SimplicialGraph(vertices, edges)
     except (ValueError, TypeError) as exc:

@@ -141,7 +141,9 @@ class MoveClosure:
         g, a, offsets = self.graph, self.alphabet, self._offsets
         acc = 0
         for lt in w:
-            acc = acc * a + 2 * g.index(lt.base) + (0 if lt.sign > 0 else 1)
+            if lt.sign not in (1, -1):
+                raise ValueError(f"unknown letter {lt!r}")
+            acc = acc * a + 2 * g.index(lt.base) + (lt.sign < 0)
         root = self._find(offsets[len(w)] + acc)
         k = bisect_right(offsets, root) - 1
         acc, out = root - offsets[k], []

@@ -37,6 +37,7 @@ from raagembed.words import (
     canonical_words,
     commutator,
     commute_elements,
+    conjugate_word,
     equal,
     format_word,
     inverse,
@@ -103,7 +104,7 @@ def test_generators_match_the_long_route():
             long = ext_vertex(g, b, word(b, b + "^-1"))
             assert (v.base, v.conjugator, v.key) == (long.base, long.conjugator, long.key)
             assert (v.base, v.conjugator, v.key) == _reference_ext_vertex(g, b, ())
-            assert extgraph._vertex_ids(alphabet, v) == _long_route_vertex_ids(alphabet, v)
+            assert extgraph._vertex_ids(v) == _long_route_vertex_ids(alphabet, v)
 
 
 def test_unknown_conjugator_letter_rejected():
@@ -114,14 +115,22 @@ def test_unknown_conjugator_letter_rejected():
 
 
 def test_vertices_off_the_graph_are_rejected():
+    # A vertex built on P6 is rebuilt on P5 by ext_vertex, which refuses
+    # a base or a conjugator letter that P5 lacks.
     far = ext_vertex(P6, "x6", word("x5"))
     near = ext_vertex(P5, "x1")
-    with pytest.raises(ValueError, match="unknown letter"):
+    with pytest.raises(ValueError, match="unknown vertex 'x6'"):
         ext_adjacent(P5, far, near)
-    with pytest.raises(ValueError, match="unknown letter"):
+    with pytest.raises(ValueError, match="unknown vertex 'x6'"):
         induced_ext_subgraph(P5, [far])
-    with pytest.raises(ValueError, match="unknown letter"):
+    with pytest.raises(ValueError, match="unknown vertex 'x6'"):
         push_to_base(P5, [near, far])
+    off = ext_vertex(P6, "x4", word("x5", "x6"))
+    assert off.conjugator == word("x5", "x6")
+    with pytest.raises(ValueError, match="unknown letter"):
+        ext_adjacent(P5, near, off)
+    with pytest.raises(ValueError, match="unknown letter"):
+        verify_witness(SimplicialGraph(["p"]), P5, {"p": off})
 
 
 def test_ext_adjacent_basics():
@@ -189,19 +198,6 @@ def test_ext_vertex_matches_the_reference():
     assert stripped > 500
 
 
-_EQUAL_COPIES = {}
-
-
-def _rebuilt(g, v):
-    """v built again on a graph equal to g but another object, so that
-    ``_vertex_ids`` on g's alphabet takes the full route for it."""
-    entry = _EQUAL_COPIES.get(id(g))
-    if entry is None:
-        # g is kept with its copy, so that its id is not reused.
-        entry = _EQUAL_COPIES[id(g)] = g, SimplicialGraph(g.vertices, g.edges)
-    return ext_vertex(entry[1], v.base, v.conjugator)
-
-
 def _fields(v):
     return v.base, v.conjugator, v.key, v._alphabet, v._a
 
@@ -214,13 +210,11 @@ def _pool_vertex(g, record):
 
 
 def _assert_tag_matches_the_full_route(g, v):
-    """v was built on g: ``_vertex_ids`` reads its tag there, and must
-    give what the full route gives for the copy built on an equal graph."""
+    """v was built on g: ``_vertex_ids`` reads its tag and letters, and
+    must give what the long route gives from its word reduced over g."""
     alphabet = _alphabet(g)
     assert v._alphabet is alphabet and alphabet.letters[v._a] == Letter(v.base, 1)
-    assert extgraph._vertex_ids(alphabet, v) == extgraph._vertex_ids(
-        alphabet, _rebuilt(g, v)
-    ), v
+    assert extgraph._vertex_ids(v) == _long_route_vertex_ids(alphabet, v), v
 
 
 def test_tagged_vertex_ids_match_the_full_route_on_any_conjugator():
@@ -333,8 +327,8 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder(monkeypatch):
     # order, or in another graph on the same labels; the answer must be
     # that graph's. C5 has one more edge than P5, so a key reduced over C5
     # need not be reduced over P5: x1^(x5) is x1 there. An equal graph
-    # that is another object gets the full route too: a vertex's tag is
-    # trusted only on the alphabet object it names.
+    # that is another object rebuilds the vertex too: it is read only on
+    # the alphabet object that built it.
     c5 = make_cycle(5)
     for g, other in ((P5, c5), (c5, P5)):
         shuffled = SimplicialGraph(["x3", "x1", "x5", "x2", "x4"], g.edges)
@@ -348,42 +342,49 @@ def test_ext_adjacent_on_a_graph_other_than_the_builder(monkeypatch):
                 assert ext_adjacent(equal_graph, u, v) == want
                 assert ext_adjacent(g, u, v) == want
                 assert ext_adjacent(other, u, v) == _reference_ext_adjacent(other, u, v)
-        # A vertex built on the other graph, forged to name g's alphabet
-        # (the two graphs give their labels the same ids), is read on g as
-        # if g had proved x^-1 a x reduced, and on the equal graph from
-        # its letters. A word reduced over P5 is reduced over C5, which
-        # has more edges, so only a C5 vertex forged onto P5 reads wrong.
-        alphabet = _alphabet(equal_graph)
-        assert alphabet is not _alphabet(g)
-        ids, home, trusted = extgraph._vertex_ids, _alphabet(g), 0
-        for u in enumerate_vertices(other, 2)[::3]:
-            forged = ext_vertex(other, u.base, u.conjugator)
-            forged._alphabet = home
-            assert ids(alphabet, forged) == ids(alphabet, u)
-            trusted += ids(home, forged) != ids(home, u)
-        assert trusted > 0 if g is P5 else trusted == 0
     x1, x1_x5 = ext_vertex(c5, "x1"), ext_vertex(c5, "x1", word("x5"))
     assert ext_adjacent(c5, x1, x1_x5)
     assert not ext_adjacent(P5, x1, x1_x5)
     assert not ext_adjacent(P5, ext_vertex(P5, "x4"), x1_x5)
-    # Distinct keys on one base that are one element over P5 commute
-    # there, so the pair routine must not settle equal bases: this pair
-    # of non-generators is reduced in either order.
+    # Distinct keys on one base that are one element over P5: rebuilt on
+    # P5 they have one key, so the pair is settled with no reduction.
     u, v = ext_vertex(c5, "x1", word("x2")), ext_vertex(c5, "x1", word("x5", "x2"))
     assert u.key != v.key and equal(P5, u.key, v.key)
     assert ext_adjacent(c5, u, v)
     calls = _counting_reductions(monkeypatch)
     assert not ext_adjacent(P5, u, v) and not ext_adjacent(P5, v, u)
-    assert len(calls) == 2
+    assert calls == []
+
+
+def test_vertices_of_another_graph_are_read_on_the_asking_graph():
+    # x1 and x1^(x5), built on C5, are both x1 over P5.
+    c5 = make_cycle(5)
+    u, v = ext_vertex(c5, "x1"), ext_vertex(c5, "x1", word("x5"))
+    assert not verify_witness(SimplicialGraph(["p", "q"]), P5, {"p": u, "q": v})
+    with pytest.raises(ValueError, match="duplicate extension vertices"):
+        induced_ext_subgraph(P5, [u, v])
+    with pytest.raises(ValueError, match="duplicate extension vertices"):
+        push_to_base(P5, [u, v])
+    # A vertex is the conjugate of its base by its conjugator; its P5 key,
+    # which moves x1^-1 past x5^-1, is another element over C5.
+    x = word("x1", "x3", "x4", "x5")
+    far = ext_vertex(P5, "x2", x)
+    assert not equal(c5, far.key, conjugate_word(Letter("x2", 1), x))
+    w, bases = push_to_base(c5, [far])
+    assert bases == ["x2"]
+    assert equal(c5, w + conjugate_word(Letter("x2", 1), x) + inverse(w), word("x2"))
 
 
 def test_pairs_on_adjacent_bases_are_settled_without_a_reduction(monkeypatch):
-    # Distinct vertices on adjacent bases never commute, so every such
-    # pair of P5's radius-2 pool is adjacent, and no reduction runs.
+    # Distinct vertices on adjacent or equal bases never commute, so every
+    # such pair of P5's radius-2 pool is adjacent, and no reduction runs.
     pool = enumerate_vertices(P5, 2)
     pairs = [(u, v) for u in pool for v in pool if P5.adjacent(u.base, v.base)]
+    same = [(u, v) for u in pool for v in pool if u.base == v.base and u != v]
+    assert len(pairs) > 1000 and len(same) == 2324
+    pairs += same
     want = [_reference_ext_adjacent(P5, u, v) for u, v in pairs]
-    assert len(pairs) > 1000 and all(want)
+    assert all(want)
     calls = _counting_reductions(monkeypatch)
     assert [ext_adjacent(P5, u, v) for u, v in pairs] == want
     assert calls == []
@@ -692,8 +693,7 @@ def test_pool_records_match_the_vertex_route(g, radius):
         # normal form of the record's word x^-1 a x.
         assert (v.base, v.conjugator) == (g.vertices[i], _decode(alphabet, x)), v
         assert v.key == normal_form(g, _decode(alphabet, triple[0])), v
-        # The copy built on an equal graph takes the full route.
-        assert triple == extgraph._vertex_ids(alphabet, _rebuilt(g, v)), v
+        assert triple == _long_route_vertex_ids(alphabet, v), v
 
 
 def test_pool_supports_are_intervals_holding_the_base():
@@ -949,7 +949,7 @@ def test_the_automorphism_filter_changes_no_answer(monkeypatch):
 def test_search_witnesses_are_built_by_ext_vertex():
     # Each witness vertex carries the tag of the target's alphabet, is the
     # vertex that ext_vertex builds on its base and conjugator, and has
-    # its pool record's triple on the full route.
+    # its pool record's triple on the long route.
     checked = 0
     for g, radius, witness in _filter_cases():
         if witness is None:
@@ -961,7 +961,7 @@ def test_search_witnesses_are_built_by_ext_vertex():
             assert _fields(v) == _fields(ext_vertex(g, v.base, v.conjugator))
             x = tuple(alphabet.ids[lt] for lt in v.conjugator)
             triple = triples[g.index(v.base), x]
-            assert triple == extgraph._vertex_ids(alphabet, _rebuilt(g, v)), v
+            assert triple == _long_route_vertex_ids(alphabet, v), v
             checked += 1
     assert checked == 1000
 

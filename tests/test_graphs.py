@@ -598,6 +598,26 @@ def test_graph_validation():
         parse_graph("vertices: x^-1 y\n")
 
 
+def test_the_constructor_refuses_labels_the_word_syntax_cannot_write():
+    # Such a graph would read the token a^-1 as the inverse of a, and its
+    # own text would not parse back.
+    with pytest.raises(ValueError, match=r"vertex label 'a\^-1' holds whitespace or '\^'"):
+        SimplicialGraph(["a", "a^-1", "b c"], [("a", "a^-1")])
+    for label in ("b c", " b", "b\t", "b\u00a0c", "\n", "^", "b^2"):
+        with pytest.raises(ValueError, match="holds whitespace or '\\^'"):
+            SimplicialGraph(["a", label])
+
+
+def test_every_graph_reads_back_from_its_own_text():
+    graphs = list(random_graphs(23, 200)) + [
+        SimplicialGraph([]),
+        SimplicialGraph(["a", "b-1", "\u00e9", "x_2", "a'"], [("a", "\u00e9"), ("b-1", "a'")]),
+    ]
+    for g in graphs:
+        assert parse_graph(format_graph(g)) == g
+        assert parse_graph(json.dumps(graph_to_json(g))) == g
+
+
 def test_text_format_roundtrip():
     t2 = make_tripod(2, 2, 2)
     again = parse_graph(format_graph(t2))

@@ -119,6 +119,17 @@ def test_canonical_refuses_a_word_beyond_the_bound_or_the_graph():
         closure.canonical((Letter("x1", 1), Letter("y", -1)))
 
 
+def test_canonical_refuses_a_letter_whose_sign_is_not_one():
+    # Sign 0 would read as x1^-1, and (x1^2, x1^-1) would cancel to the
+    # empty word, where the word-problem code refuses both letters.
+    closure = MoveClosure(make_path(3), 2)
+    for bad in (Letter("x1", 0), Letter("x1", 2)):
+        with pytest.raises(ValueError, match=r"unknown letter Letter\(base='x1'"):
+            closure.canonical((bad,))
+        with pytest.raises(ValueError, match="unknown letter"):
+            closure.canonical((bad, Letter("x1", -1)))
+
+
 def test_the_benchmark_closure_has_its_class_count():
     # words_mixed builds this closure and reports its oracle.classes
     assert MoveClosure(make_path(5), 5).class_count() == 14_659
