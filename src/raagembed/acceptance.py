@@ -440,7 +440,7 @@ def run_all(ids=None, seed=0, progress=None):
         fn = CRITERIA[cid]
         start = time.perf_counter()
         report = fn(seed=seed) if cid == 11 else fn()
-        report["seconds"] = round(time.perf_counter() - start, 1)
+        report["ms"] = round((time.perf_counter() - start) * 1000, 1)
         reports.append(report)
         if progress is not None:
             progress(report)

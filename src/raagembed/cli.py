@@ -279,7 +279,7 @@ def _cmd_counterexample(config):
 def _cmd_verify_all(config):
     def announce(report):
         mark = "PASS" if report["passed"] else "FAIL"
-        print(f"{mark}  #{report['id']:<2} {report['name']} ({report['seconds']}s)")
+        print(f"{mark}  #{report['id']:<2} {report['name']} ({report['ms']} ms)")
 
     reports = acceptance.run_all(ids=config.ids, seed=config.seed, progress=announce)
     ok = all(r["passed"] for r in reports)

@@ -8,12 +8,21 @@ classes restricted to the bounded universe, the shortest member of a
 component is the element's geodesic length, and the first member in
 (length, lexicographic) order is a canonical representative.
 
-Word indices run in (length, lexicographic) order over the letter ids, so
-a move at a fixed position maps one block of consecutive indices (the
-words with a fixed prefix and letter pair there, every suffix) onto
-another block of the same size, shifted by a constant. The closure is
-built by uniting such aligned blocks element by element, one block pair
-per (length, position, prefix, move); no word is decoded into letters.
+Word indices run in (length, lexicographic) order over the letter ids.
+The closure is built on indices, one length k at a time:
+
+* Carried moves are sound. A move at position >= 1 of x·u is a move of u
+  under the prefix x, and so is any path of moves among shorter words. So
+  x·u takes x·root(u) as its parent without a union, and two words one
+  such move apart get the same parent.
+* Root suffixes suffice. With r = root(s), carried moves join x·y·s to
+  x·y·r and s to r, so a position-0 swap or deletion on x·y·s follows
+  from the same move on x·y·r. Only suffixes s that are their own root
+  of length k-2 are united; a shorter r was united at its own length.
+* The roots the carrying reads must stay put: no longer word may join two
+  classes of shorter words. Equal words are joined by moves that never
+  lengthen a word, and the build checks it: it ends by recomputing the
+  roots it read and raises ``RuntimeError`` if any has moved.
 
 Nothing here calls the reduction or normal-form code, so this module can
 sit on the other side of every word-problem check.
@@ -23,7 +32,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 from .words import Letter
 
@@ -31,10 +41,26 @@ from .words import Letter
 def all_words(g, max_len):
     """Every word of length <= max_len over the letters of g, by length
     and then lexicographic over the letter ids 2*vertex_index + (0 if
-    positive): the index order of ``MoveClosure``."""
+    positive): the index order of ``MoveClosure``. A negative bound is
+    refused at the call."""
+    if max_len < 0:
+        raise ValueError(f"negative bound {max_len}")
     letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
-    for k in range(max_len + 1):
-        yield from product(letters, repeat=k)
+    return chain.from_iterable(product(letters, repeat=k) for k in range(max_len + 1))
+
+
+def _check_roots(parent, read):
+    """Raise RuntimeError unless each index i below len(read) still has the
+    root read[i]: the carried moves assume that no longer word joins two
+    classes of shorter words. (RuntimeError: the oracle imports nothing
+    from the package but ``Letter``.)"""
+    roots = []
+    for i in range(len(read)):
+        p = parent[i]
+        roots.append(i if p == i else roots[p])
+    if roots != read:
+        i = next(i for i, r in enumerate(read) if roots[i] != r)
+        raise RuntimeError(f"the root of index {i} moved from {read[i]} to {roots[i]}")
 
 
 class MoveClosure:
@@ -76,14 +102,8 @@ class MoveClosure:
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        # A word of length k with letters x, y at positions i, i+1 has index
-        # offsets[k] + p*a*a*t + (x*a + y)*t + s, where p indexes its
-        # i-letter prefix, s its suffix and t = a**(k-i-2) counts the
-        # suffixes. So one move at one position joins two aligned blocks of
-        # t consecutive indices, element by element: a swap of commuting
-        # x != y (each unordered pair once, y < x) joins block (x, y) to
-        # block (y, x), and deleting x, x^-1 joins block (x, x^-1) to the
-        # words offsets[k-2] + p*t + s.
+        # A word of length m has index offsets[m] + its letter ids read in
+        # base a, so prefixing x to the word with index r adds a**m * (x + 1).
         g = self.graph
         vs = g.vertices
         a = self.alphabet
@@ -95,33 +115,59 @@ class MoveClosure:
         ]
         deletions = [x * a + (x ^ 1) for x in range(a)]
         offsets = self._offsets
-        parent = list(range(offsets[self.max_len + 1]))
-        classes = len(parent)
-        for k in range(2, self.max_len + 1):
-            base = offsets[k]
-            short_base = offsets[k - 2]
-            for i in range(k - 1):
-                t = a ** (k - i - 2)
-                for p in range(a**i):
-                    block = base + p * a * a * t
-                    moves = [(block + u * t, block + v * t) for u, v in swaps]
-                    moves += [(block + d * t, short_base + p * t) for d in deletions]
-                    for src, dst in moves:
-                        for s in range(t):
-                            # union by the smaller root; the build leaves
-                            # path compression to the queries
-                            x = src + s
-                            while parent[x] != x:
-                                x = parent[x]
-                            y = dst + s
-                            while parent[y] != y:
-                                y = parent[y]
-                            if x != y:
-                                if x < y:
-                                    parent[y] = x
-                                else:
-                                    parent[x] = y
-                                classes -= 1
+        parent = [0]
+        # root[i], and step[i] = a**len(root[i]), for every word shorter
+        # than the length being closed: the roots the build reads
+        root, step = [0], [1]
+        fresh = classes = 1  # fresh counts the roots of the last length
+        for k in range(1, self.max_len + 1):
+            # Carried moves: x·u takes x·root(u) as its parent, one slice
+            # per first letter x. Each self-rooted u gives a new root x·u.
+            lower = offsets[k - 1]
+            carried, steps = root[lower:], step[lower:]
+            for _ in range(a):
+                carried = list(map(add, carried, steps))
+                parent += carried
+            classes += a * fresh
+            if k >= 2:
+                # Position-0 moves, only on x·y·s with s its own root of
+                # length k-2: x·y·s = offsets[k] + (x*a + y)*t + s - offsets[k-2]
+                t = a ** (k - 2)
+                shorter = offsets[k - 2]
+                shift = offsets[k] - shorter
+                for s in range(shorter, offsets[k - 1]):
+                    if root[s] != s:
+                        continue
+                    j = s + shift
+                    moves = [(j + u * t, j + v * t) for u, v in swaps]
+                    moves += [(j + d * t, s) for d in deletions]
+                    for x, y in moves:
+                        # union by the smaller root; the build leaves path
+                        # compression to the queries
+                        while parent[x] != x:
+                            x = parent[x]
+                        while parent[y] != y:
+                            y = parent[y]
+                        if x != y:
+                            if x < y:
+                                parent[y] = x
+                            else:
+                                parent[x] = y
+                            classes -= 1
+            if k < self.max_len:
+                # Every parent points at or below its child, so one pass in
+                # index order reads each root off its parent's.
+                ak, fresh = a**k, 0
+                for i in range(offsets[k], offsets[k + 1]):
+                    p = parent[i]
+                    if p == i:
+                        root.append(i)
+                        step.append(ak)
+                        fresh += 1
+                    else:
+                        root.append(root[p])
+                        step.append(step[p])
+        _check_roots(parent, root)
         return parent, classes
 
     # -- queries ---------------------------------------------------------

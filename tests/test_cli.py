@@ -254,6 +254,10 @@ def test_verify_all_subset(capsys, tmp_path):
     assert "PASS  #1" in out and "PASS  #5" in out
     data = json.loads(out_file.read_text())
     assert data["passed"] is True and len(data["criteria"]) == 2
+    # each criterion's wall time, in milliseconds to one decimal, on its line
+    for report in data["criteria"]:
+        assert report["ms"] == round(report["ms"], 1) and "seconds" not in report
+        assert f"#{report['id']:<2} {report['name']} ({report['ms']} ms)" in out
     # an unknown id is refused before criterion 1 runs
     assert run(["verify-all", "1", "99"]) == 2
     captured = capsys.readouterr()

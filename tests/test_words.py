@@ -1,11 +1,11 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
 from raagembed.errors import GraphParseError
 from raagembed.graphs import SimplicialGraph, make_cycle, make_path, make_tripod
-from raagembed.oracle import MoveClosure
+from raagembed.oracle import MoveClosure, all_words
 from raagembed.words import (
     Letter,
     _alphabet,
@@ -35,12 +35,6 @@ from test_graphs import random_graphs
 
 P5 = make_path(5)
 P4 = make_path(4)
-
-
-def all_words(g, max_len):
-    letters = [Letter(v, s) for v in g.vertices for s in (1, -1)]
-    for k in range(max_len + 1):
-        yield from product(letters, repeat=k)
 
 
 # ---------------------------------------------------------------------------
