@@ -18,8 +18,6 @@ from .constructions import (
     hairy_witness,
     move_deg1k,
     move_deg3,
-    obstruction_holds,
-    t2_graph,
 )
 from .errors import InvariantViolation
 from .extgraph import (
@@ -40,6 +38,7 @@ from .graphs import (
     is_connected,
     is_hairy_path,
     make_path,
+    t2_graph,
 )
 from .homs import bounded_injectivity, check_relator_preservation
 from .oracle import MoveClosure, all_words
@@ -292,9 +291,9 @@ def criterion_9():
     cert_ok = True
     cert_details = {}
     for name, g in graphs:
+        # certify_non_embeddability checks its tuple with obstruction_holds
         cert = certify_non_embeddability(g)
-        ok = cert is not None and obstruction_holds(g, cert["roles"])
-        cert_ok = cert_ok and ok
+        cert_ok = cert_ok and cert is not None
         cert_details[name] = cert["roles"] if cert else None
     searches = {}
     search_ok = True

@@ -234,9 +234,12 @@ def _cmd_hairy(config, g):
         hw = hairy_witness(g)
     except ValueError:
         cert = certify_non_embeddability(g)
+        if cert is None:
+            raise InvariantViolation(
+                "tree is not a hairy path graph, yet no obstruction tuple was found"
+            )
         print("not a hairy path graph; induced two-legged tripod found")
-        if cert is not None:
-            print(json.dumps(cert["roles"]))
+        print(json.dumps(cert["roles"]))
         return {"hairy": False, "certificate": cert}, 0
     dec = hw.decomposition
     print(

@@ -9,17 +9,21 @@ move, the bounded ones (injectivity up to a word length) are separate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvariantViolation
 from .extgraph import ext_vertex, format_ext_vertex, verify_witness
 from .graphs import (
+    _PATTERN,
     SimplicialGraph,
+    find_tripod_obstruction,
     graph_to_json,
     is_connected,
     is_hairy_path,
-    find_tripod_obstruction,
     make_path,
+    obstruction_holds,
     remove,
+    t2_graph,
 )
 from .homs import (
     GroupMap,
@@ -263,15 +267,6 @@ def deg3_claim_reports(move, length=5):
     }
 
 
-def t2_graph():
-    """The tripod with three two-vertex legs, labeled as used throughout:
-    legs p-a, q-b, r-c around the center x."""
-    return SimplicialGraph(
-        ["p", "a", "x", "b", "q", "c", "r"],
-        [("p", "a"), ("a", "x"), ("x", "b"), ("b", "q"), ("x", "c"), ("c", "r")],
-    )
-
-
 def _deg1k_candidate(g):
     for v in g.vertices:
         leaves, others = _leaf_split(g, v)
@@ -422,29 +417,6 @@ def hairy_witness(t):
     return HairyWitness(path=path, assignment=assignment, decomposition=dec)
 
 
-def obstruction_holds(g, roles):
-    """Whether the role map is a tripod-style obstruction tuple in g:
-    seven distinct vertices, x, p, q, r pairwise non-adjacent, and each of
-    a, b, c adjacent to x and to exactly one of p, q, r (its own)."""
-    x, p, q, r = roles["x"], roles["p"], roles["q"], roles["r"]
-    a, b, c = roles["a"], roles["b"], roles["c"]
-    quad = [x, p, q, r]
-    if len({x, p, q, r, a, b, c}) != 7:
-        return False
-    if any(g.adjacent(u, v) for i, u in enumerate(quad) for v in quad[i + 1:]):
-        return False
-    want = {
-        a: {x: True, p: True, q: False, r: False},
-        b: {x: True, q: True, p: False, r: False},
-        c: {x: True, r: True, p: False, q: False},
-    }
-    return all(
-        g.adjacent(v, u) == flag
-        for v, spec_ in want.items()
-        for u, flag in spec_.items()
-    )
-
-
 def certify_non_embeddability(g):
     """Certificate that a graph embeds into no path graph's extension
     graph, built from the tripod-style obstruction tuple; None when no
@@ -455,22 +427,19 @@ def certify_non_embeddability(g):
         return None
     if not obstruction_holds(g, roles):
         raise InvariantViolation(f"obstruction tuple fails its pattern: {roles}")
+    # The ordered pairs of p, q, r: pq, pr, qr, each both ways round. The
+    # witness is the far role's one neighbour in the pattern.
     cases = []
-    for middle, far, witness in (
-        ("p", "q", "b"),
-        ("q", "p", "a"),
-        ("p", "r", "c"),
-        ("r", "p", "a"),
-        ("q", "r", "c"),
-        ("r", "q", "b"),
-    ):
-        cases.append(
-            {
-                "same_side_order": [roles["x"], roles[middle], roles[far]],
-                "witness_role": witness,
-                "witness_vertex": roles[witness],
-            }
-        )
+    for pair in combinations("pqr", 2):
+        for middle, far in (pair, pair[::-1]):
+            (witness,) = _PATTERN.neighbors(far)
+            cases.append(
+                {
+                    "same_side_order": [roles["x"], roles[middle], roles[far]],
+                    "witness_role": witness,
+                    "witness_vertex": roles[witness],
+                }
+            )
     return {
         "statement": "no induced embedding into the extension graph of any path graph",
         "roles": roles,

@@ -355,35 +355,60 @@ def is_hairy_path(t):
     )
 
 
+def t2_graph():
+    """The tripod T(2,2,2) with legs p-a, q-b, r-c around the center x,
+    its vertices named by their roles: the obstruction pattern that
+    ``find_tripod_obstruction`` searches for and ``obstruction_holds``
+    checks."""
+    return SimplicialGraph(
+        ["p", "a", "x", "b", "q", "c", "r"],
+        [("p", "a"), ("a", "x"), ("x", "b"), ("b", "q"), ("x", "c"), ("c", "r")],
+    )
+
+
 #: Roles of the 7-tuple certificate, in emission order.
 OBSTRUCTION_ROLES = ("x", "p", "q", "r", "a", "b", "c")
 
-#: The legs a-p, b-q, c-r around the center x. The pairs among a, b, c
-#: are free, and every other pair of roles is a non-edge.
-_TRIPOD_EDGES = {"ax", "bx", "cx", "ap", "bq", "cr"}
+_PATTERN = t2_graph()
 
 
 def _tripod_wanted(u, v):
-    pair = u + v if u < v else v + u
-    return None if pair in ("ab", "ac", "bc") else pair in _TRIPOD_EDGES
+    """The pattern's adjacency between roles u and v, except that the
+    pairs among a, b and c are free (None)."""
+    return None if u in "abc" and v in "abc" else _PATTERN.adjacent(u, v)
+
+
+def obstruction_holds(g, roles):
+    """Whether the role map is an obstruction tuple in g: seven distinct
+    vertices whose adjacency agrees with ``_tripod_wanted`` on every role
+    pair it constrains."""
+    if len({roles[r] for r in OBSTRUCTION_ROLES}) != 7:
+        return False
+    for u, v in combinations(OBSTRUCTION_ROLES, 2):
+        want = _tripod_wanted(u, v)
+        if want is not None and g.adjacent(roles[u], roles[v]) != want:
+            return False
+    return True
 
 
 def find_tripod_obstruction(g):
-    """Search for seven distinct vertices x,p,q,r,a,b,c with {x,p,q,r}
-    independent, a adjacent to exactly x,p among them, b to exactly x,q,
-    c to exactly x,r. Adjacency among a,b,c is unconstrained.
+    """Search for seven distinct vertices x,p,q,r,a,b,c of g that induce
+    the pattern ``t2_graph``, except that adjacency among a,b,c is
+    unconstrained: {x,p,q,r} independent, a adjacent to exactly x,p among
+    them, b to exactly x,q, c to exactly x,r.
 
     Returns the role map (keyed in ``OBSTRUCTION_ROLES`` order) of the
     first tuple when the roles x,a,p,b,q,c,r are tried in that order,
     each over the vertices in canonical order, or None. A graph admitting
     such a tuple embeds into no path graph's extension graph.
     """
-    # The pattern gives x three neighbours and a, b, c two each, so these
-    # degree filters prune the search without changing its order.
-    inner = [v for v in g.vertices if g.degree(v) >= 2]
-    center = [v for v in inner if g.degree(v) >= 3]
-    outer = g.vertices
-    domains = dict(x=center, a=inner, p=outer, b=inner, q=outer, c=inner, r=outer)
+    # A role's image has at least the role's degree in the pattern, so
+    # this filter prunes the search without changing its order.
+    degrees = [m.bit_count() for m in g._masks]
+    domains = {}
+    for role in OBSTRUCTION_ROLES:
+        least = _PATTERN.degree(role)
+        domains[role] = [v for v, d in zip(g.vertices, degrees) if d >= least]
     found = next(_vertex_maps(g, _tripod_wanted, "xapbqcr", domains), None)
     return None if found is None else {r: found[r] for r in OBSTRUCTION_ROLES}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .graphs import _edge_ids
 from .words import (
@@ -61,7 +62,8 @@ class GroupMap:
                     raise ValueError(f"image of {v!r} uses unknown letter {lt!r}")
         self.domain = domain
         self.codomain = codomain
-        self.images = kept
+        # read-only: the checks trust the images validated above
+        self.images = MappingProxyType(kept)
 
     def apply(self, w):
         """The literal image of w; ValueError for a letter off the domain."""

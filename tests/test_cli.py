@@ -208,6 +208,18 @@ def test_hairy_on_the_tripod_emits_a_certificate(capsys, t2_file):
     assert "not a hairy path graph" in out
 
 
+def test_hairy_without_a_certificate_is_a_verification_failure(
+    capsys, monkeypatch, t2_file
+):
+    """A non-hairy tree always has an obstruction tuple; if none comes
+    back, the command says nothing about the tree and exits 1."""
+    monkeypatch.setattr(cli, "certify_non_embeddability", lambda g: None)
+    assert run(["hairy", "--graph", t2_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no obstruction tuple" in captured.err
+
+
 def test_hairy_on_a_path(capsys, tmp_path):
     f = tmp_path / "p4.graph"
     f.write_text(format_graph(make_path(4)))

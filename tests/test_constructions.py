@@ -3,6 +3,7 @@ import random
 import pytest
 
 from raagembed import constructions
+from raagembed.acceptance import theorem_b_variants
 from raagembed.constructions import (
     build_t2_pipeline,
     certify_non_embeddability,
@@ -165,12 +166,51 @@ def test_hairy_witness_rejects_the_tripod():
     assert "certify_non_embeddability" in str(err.value)
 
 
+def _pinned_cases(x, p, q, r, a, b, c):
+    """The six cases, in their fixed order, for the roles' vertices."""
+    return [
+        {"same_side_order": [x, p, q], "witness_role": "b", "witness_vertex": b},
+        {"same_side_order": [x, q, p], "witness_role": "a", "witness_vertex": a},
+        {"same_side_order": [x, p, r], "witness_role": "c", "witness_vertex": c},
+        {"same_side_order": [x, r, p], "witness_role": "a", "witness_vertex": a},
+        {"same_side_order": [x, q, r], "witness_role": "c", "witness_vertex": c},
+        {"same_side_order": [x, r, q], "witness_role": "b", "witness_vertex": b},
+    ]
+
+
+PINNED_ARGUMENT = [
+    "an embedding could be conjugated so the independent set lands on base "
+    "path vertices",
+    "two of p,q,r then sit on the same side of x; whichever pair it is, the "
+    "listed witness vertex commutes with the image of the nearer one, hence "
+    "with the image of x or of the farther one, although it is adjacent to both",
+]
+
+
 def test_certificates():
-    cert = certify_non_embeddability(t2_graph())
-    assert cert is not None
-    assert cert["roles"]["x"] == "x"
-    assert set(cert["roles"]) == {"x", "p", "q", "r", "a", "b", "c"}
-    assert len(cert["cases"]) == 6
+    """Every field of the certificate, pinned for the tripod, its three
+    variants and the tripod with leg labels a1, a2, ... (where roles and
+    labels differ); no certificate on a path or a hairy tree."""
+    roles = dict(zip("xpqrabc", "xpqrabc"))
+    graphs = [(t2_graph(), roles)] + [(g, roles) for g in theorem_b_variants()]
+    relabelled = dict(zip("xpqrabc", ["x", "a2", "b2", "c2", "a1", "b1", "c1"]))
+    graphs.append((make_tripod(2, 2, 2), relabelled))
+    for g, want in graphs:
+        cert = certify_non_embeddability(g)
+        assert list(cert) == [
+            "statement", "roles", "independent_set", "argument", "cases", "note"
+        ]
+        assert list(cert["roles"].items()) == list(want.items())
+        assert cert["independent_set"] == [want[r] for r in "xpqr"]
+        assert cert["cases"] == _pinned_cases(*want.values())
+        assert cert["statement"] == (
+            "no induced embedding into the extension graph of any path graph"
+        )
+        assert cert["argument"] == PINNED_ARGUMENT
+        assert cert["note"] == (
+            "exactly the proved hypotheses are encoded; weaker patterns may "
+            "also obstruct but are not claimed"
+        )
     assert certify_non_embeddability(make_path(9)) is None
     assert certify_non_embeddability(FIG6_TREE) is None
 

@@ -5,7 +5,6 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from raagembed.acceptance import theorem_b_variants
-from raagembed.constructions import obstruction_holds
 from raagembed.errors import GraphParseError
 from raagembed.graphs import (
     OBSTRUCTION_ROLES,
@@ -30,8 +29,10 @@ from raagembed.graphs import (
     make_cycle,
     make_path,
     make_tripod,
+    obstruction_holds,
     parse_graph,
     remove,
+    t2_graph,
 )
 
 
@@ -482,6 +483,25 @@ def test_tripod_obstruction_absent_on_paths_and_hairy_trees():
     assert find_tripod_obstruction(make_tripod(1, 1, 1)) is None
     # a longer first leg still contains the forbidden pattern
     assert find_tripod_obstruction(make_tripod(3, 2, 2)) is not None
+
+
+def test_tripod_pattern_pair_by_pair():
+    """Toggle each of the 21 role pairs of t2_graph, whose vertices are the
+    roles: under the identity role map the tuple survives exactly when the
+    pair lies among a, b and c, and the search finds a tuple exactly then."""
+    t2 = t2_graph()
+    identity = {r: r for r in OBSTRUCTION_ROLES}
+    free = {frozenset(p) for p in ("ab", "ac", "bc")}
+    for u, v in combinations(OBSTRUCTION_ROLES, 2):
+        pair = frozenset((u, v))
+        edges = {frozenset(e) for e in t2.edges} ^ {pair}
+        g = SimplicialGraph(t2.vertices, [tuple(e) for e in edges])
+        assert obstruction_holds(g, identity) == (pair in free), (u, v)
+        found = find_tripod_obstruction(g)
+        if pair in free:
+            assert found is not None and obstruction_holds(g, found), (u, v)
+        else:
+            assert found is None, (u, v)
 
 
 def _reference_tripod_obstruction(g):

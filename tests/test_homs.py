@@ -251,6 +251,22 @@ def test_group_map_keeps_one_shot_images():
     assert m.images["x3"] == word("x1", "x3")
 
 
+def test_group_map_images_are_read_only():
+    """The checks trust the images validated at construction, so they
+    cannot be reassigned or deleted afterwards; a copy can."""
+    p2 = make_path(2)
+    m = GroupMap(p2, p2, {"x1": word("x1"), "x2": word("x2")})
+    with pytest.raises(TypeError):
+        m.images["x2"] = (Letter("zz", 1),)
+    with pytest.raises(TypeError):
+        del m.images["x2"]
+    assert m.apply(word("x2")) == word("x2")
+    assert bounded_injectivity(m, 2)["violations"] == []
+    copy = dict(m.images)
+    copy["x2"] = word("x1")
+    assert m.images == {"x1": word("x1"), "x2": word("x2")}
+
+
 def test_trimmed_center_image_is_still_a_homomorphism():
     # dropping x3 from the center image leaves all relators intact and no
     # bounded injectivity failure at this scale; nothing flags it
