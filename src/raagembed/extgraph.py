@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import GraphParseError, InvariantViolation
 from .graphs import (
@@ -44,68 +45,51 @@ class ExtVertex:
     key; ``conjugator`` is a shortest word w with the conjugate of base by
     w reduced and equal to the element.
 
-    Only ``ext_vertex`` builds one, from the id words it proved: the
-    constructor takes the building graph's id tables (``_alphabet``), the
-    base id there (``_a``), the conjugator and the key, and decodes the
-    two words. ``base`` is read off this tag, and the vertex is read
-    only on that graph: ``_on`` rebuilds it for any other.
+    Only ``ext_vertex`` builds one, from the ``_record`` it proved: the
+    constructor takes the building graph's id tables (``_alphabet``, the
+    tag) and the record, and keeps the record's triple as ``_ids`` and
+    its key decoded. ``base``, ``conjugator`` and ``radius`` are read off
+    the triple's word x^-1 a x, and no field can be assigned. The vertex
+    is read only on the graph that built it: ``_on`` rebuilds it for any
+    other.
     """
 
-    __slots__ = ("conjugator", "key", "_alphabet", "_a")
+    __slots__ = ("_alphabet", "_ids", "_key")
 
-    def __init__(self, alphabet, a, conj, key):
-        if conj:
-            self.conjugator = _decode(alphabet, conj)
-            self.key = _decode(alphabet, key)
-        else:
-            # Most witness vertices are generators, keyed by their letter.
-            self.conjugator, self.key = (), (alphabet.letters[a],)
+    def __init__(self, alphabet, record):
+        key, self._ids = record
+        self._key = _decode(alphabet, key)
         self._alphabet = alphabet
-        self._a = a
+
+    key = property(attrgetter("_key"))
 
     @property
     def base(self):
-        return self._alphabet.letters[self._a].base
+        w = self._ids[0]
+        return self._alphabet.letters[w[len(w) >> 1]].base
+
+    @property
+    def conjugator(self):
+        w = self._ids[0]
+        return _decode(self._alphabet, w[(len(w) >> 1) + 1:])
 
     @property
     def radius(self):
-        return len(self.conjugator)
+        return len(self._ids[0]) >> 1
 
     def __eq__(self, other):
         if not isinstance(other, ExtVertex):
             return NotImplemented
-        return self.key == other.key
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self._key)
 
     def __str__(self):
         return format_ext_vertex(self)
 
     def __repr__(self):
         return f"ExtVertex({format_ext_vertex(self)!r})"
-
-
-def _vertex_ids(v):
-    """v = a^(x) in the letter ids of the graph whose ``ext_vertex`` built
-    it: the triple (the ids of the word x^-1 a x, the id mask of its
-    support, that mask plus the neighbours of every support vertex), masks
-    taking both signs of a vertex. ``ext_vertex`` has proved x^-1 a x
-    reduced there, so the support is a, read off the tag, with the letters
-    of x. A vertex is read only there: ``_on`` rebuilds any other."""
-    alphabet, a = v._alphabet, v._a
-    ids, stops = alphabet.ids, alphabet.stops
-    if not v.conjugator:
-        # A generator is its own reduced word, so no key is built. Most
-        # vertices of the hairy and move witnesses are generators, and
-        # their pair checks pass here.
-        return (a,), 3 << a, stops[a]
-    conj = [ids[lt] for lt in v.conjugator]
-    support, reach = 3 << a, stops[a]
-    for c in conj:
-        support |= 3 << (c & ~1)
-        reach |= stops[c]
-    return tuple(_inverse_ids(conj) + [a] + conj), support, reach
 
 
 def _on(g, vertices):
@@ -134,6 +118,26 @@ def _conjugate_key(alphabet, w):
     return key
 
 
+def _record(alphabet, a, x):
+    """The record of the vertex a^(x), for a base id a and a stripped id
+    conjugator x: the ids of its key and the triple that ``_adjacent_ids``
+    reads (the word x^-1 a x, the id mask of its support, that mask plus
+    the neighbours of every support vertex), masks taking both signs of a
+    vertex. ``_conjugate_key`` proves x^-1 a x reduced, so its support is
+    a with the letters of x. The one builder of a triple."""
+    stops = alphabet.stops
+    if not x:
+        # A generator is its own reduced word and key.
+        return (a,), ((a,), 3 << a, stops[a])
+    w = _inverse_ids(x) + [a, *x]
+    key = _conjugate_key(alphabet, w)
+    support, reach = 3 << a, stops[a]
+    for c in x:
+        support |= 3 << (c & ~1)
+        reach |= stops[c]
+    return key, (tuple(w), support, reach)
+
+
 def ext_vertex(g, base, w=()):
     """Canonical extension-graph vertex for the conjugate of ``base`` by w.
 
@@ -143,14 +147,16 @@ def ext_vertex(g, base, w=()):
     normal form of w is already the conjugator. The work runs on letter
     ids, each normal form (of w, of the stripped conjugator, of the key)
     in one pass of ``_normal_form_ids`` over an unreduced word; the result
-    is decoded once. A generator, with w empty, needs no normal form.
+    is kept by the vertex as its ``_record``. A generator, with w empty,
+    needs no normal form of w.
     """
     if base not in g:
         raise ValueError(f"unknown vertex {base!r}")
     alphabet = _alphabet(g)
     a = 2 * g.index(base)
     if not w:
-        return ExtVertex(alphabet, a, (), (a,))
+        # Most witness vertices are generators.
+        return ExtVertex(alphabet, _record(alphabet, a, ()))
     stops, links = alphabet.stops, alphabet.links
     u = _normal_form_ids(stops, _encode(alphabet, w))
     # A letter is kept when it is in the link of a or blocked by a letter
@@ -166,14 +172,12 @@ def ext_vertex(g, base, w=()):
             blocked |= links[c]
     if len(conj) < len(u):
         conj = _normal_form_ids(stops, conj)
-    key = _conjugate_key(alphabet, _inverse_ids(conj) + [a] + conj)
-    return ExtVertex(alphabet, a, conj, key)
+    return ExtVertex(alphabet, _record(alphabet, a, conj))
 
 
 def format_ext_vertex(v):
-    if not v.conjugator:
-        return v.base
-    return f"{v.base}^({format_word(v.conjugator)})"
+    w = v.conjugator
+    return f"{v.base}^({format_word(w)})" if w else v.base
 
 
 def parse_ext_vertex(text, g, name="<ext-vertex>"):
@@ -195,19 +199,19 @@ def _bad_ext(name, text):
 
 def ext_adjacent(g, u, v):
     """Adjacent iff the two conjugates do not commute in g: distinct keys,
-    then ``_adjacent_ids`` on the pair's ``_vertex_ids``. A vertex built
-    on another graph is first rebuilt on g (``_on``)."""
+    then ``_adjacent_ids`` on the pair's ``_record`` triples. A vertex
+    built on another graph is first rebuilt on g (``_on``)."""
     alphabet = _alphabet(g)
     if u._alphabet is not alphabet or v._alphabet is not alphabet:
         u, v = _on(g, (u, v))
-    if u.key == v.key:
+    if u._key == v._key:
         return False
-    return _adjacent_ids(alphabet, _vertex_ids(u), _vertex_ids(v))
+    return _adjacent_ids(alphabet, u._ids, v._ids)
 
 
 def _adjacent_ids(alphabet, iu, iv):
     """Whether two distinct elements of the graph of ``alphabet``, as
-    ``_vertex_ids`` triples, do not commute: the one pair routine on ids.
+    ``_record`` triples, do not commute: the one pair routine on ids.
 
     Write u = a^(x) with the shorter conjugator and v = b^(y); a and x
     are read off the triple's word x^-1 a x, and b is the middle id of
@@ -287,27 +291,13 @@ def enumerate_vertices(g, radius):
 
 def _pool(g, radius):
     """The vertices of ``enumerate_vertices`` as id records, in its
-    order: (base index i, id conjugator x, ``_vertex_ids`` triple), the
-    triple's word being x^-1 a x, every part immutable. Every word passes
-    ``_conjugate_key``'s check, so x^-1 a x is reduced and its support is
-    {a} with the letters of x."""
+    order: (base index i, id conjugator x, ``_record`` triple), every
+    part immutable; the vertex that ``ext_vertex`` builds keeps the same
+    triple."""
     alphabet = _alphabet(g)
-    stops = alphabet.stops
-    pool = []
-    for i, x in _conjugators(g, radius):
-        a = 2 * i
-        w = _inverse_ids(x) + [a, *x]
-        _conjugate_key(alphabet, w)  # the reducedness check; no key is kept
-        # The support loop of ``_vertex_ids``, x^-1 a x being reduced;
-        # a shared helper would cost ``ext_adjacent`` two calls per pair,
-        # and its one call per pool vertex here put the ``ext_search``
-        # benchmark's ``latency_tail_ms`` up 4% in paired runs.
-        support, reach = 3 << a, stops[a]
-        for c in x:
-            support |= 3 << (c & ~1)
-            reach |= stops[c]
-        pool.append((i, x, (tuple(w), support, reach)))
-    return pool
+    return [
+        (i, x, _record(alphabet, 2 * i, x)[1]) for i, x in _conjugators(g, radius)
+    ]
 
 
 @dataclass(frozen=True)
@@ -339,10 +329,10 @@ def _distinct_ext_edges(g, vertices):
     pair is asked once in ``combinations`` order, with no early exit, so
     that one routine serves the accepting and the rejecting callers."""
     vertices = _on(g, vertices)
-    if len({v.key for v in vertices}) != len(vertices):
+    if len({v._key for v in vertices}) != len(vertices):
         return None
     alphabet = _alphabet(g)
-    ids = [_vertex_ids(v) for v in vertices]
+    ids = [v._ids for v in vertices]
     return frozenset(
         (i, j)
         for i, j in combinations(range(len(vertices)), 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import attrgetter
 from types import MappingProxyType
 
 from .graphs import _edge_ids
@@ -38,10 +39,11 @@ class GroupMap:
     ``domain`` is the graph presenting the domain group; each of its
     vertices maps to a word over ``codomain``'s vertices. ``apply`` is
     literal substitution and never reduces; a negative letter maps to the
-    inverse of its generator's image.
+    inverse of its generator's image. The three fields are read-only:
+    the checks trust what was validated here.
     """
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("_domain", "_codomain", "_images")
 
     def __init__(self, domain, codomain, images):
         for v in domain.vertices:
@@ -60,17 +62,21 @@ class GroupMap:
                     raise ValueError(f"image of {v!r} uses unknown vertex {lt.base!r}")
                 if lt not in ids:
                     raise ValueError(f"image of {v!r} uses unknown letter {lt!r}")
-        self.domain = domain
-        self.codomain = codomain
-        # read-only: the checks trust the images validated above
-        self.images = MappingProxyType(kept)
+        self._domain = domain
+        self._codomain = codomain
+        self._images = MappingProxyType(kept)
+
+    domain = property(attrgetter("_domain"))
+    codomain = property(attrgetter("_codomain"))
+    images = property(attrgetter("_images"))
 
     def apply(self, w):
         """The literal image of w; ValueError for a letter off the domain."""
-        vertices = self.domain.vertices
+        vertices = self._domain.vertices
+        images = self._images
         out = []
-        for c in _encode(_alphabet(self.domain), w):
-            image = self.images[vertices[c >> 1]]
+        for c in _encode(_alphabet(self._domain), w):
+            image = images[vertices[c >> 1]]
             out.extend(inverse(image) if c & 1 else image)
         return tuple(out)
 

@@ -34,6 +34,7 @@ from raagembed.graphs import (
 )
 from raagembed.homs import bounded_injectivity, check_relator_preservation
 from raagembed.words import _alphabet, word
+from test_extgraph import _long_route_vertex_ids
 from test_graphs import is_isomorphic
 
 FIG6_TREE = SimplicialGraph(
@@ -241,18 +242,15 @@ def test_label_collisions_get_primed():
 
 
 def _assert_built_on(g, vertices):
-    """Each vertex carries the tag of g's alphabet and is the vertex that
-    ext_vertex builds on g from its base and conjugator."""
+    """Each vertex carries the tag of g's alphabet, is the vertex that
+    ext_vertex builds on g from its base and conjugator, and keeps the
+    triple that the long route gives."""
     alphabet = _alphabet(g)
     for v in vertices:
         assert v._alphabet is alphabet, v
         rebuilt = ext_vertex(g, v.base, v.conjugator)
-        assert (v.base, v.conjugator, v.key, v._a) == (
-            rebuilt.base,
-            rebuilt.conjugator,
-            rebuilt.key,
-            rebuilt._a,
-        ), v
+        assert (v.key, v._ids) == (rebuilt.key, rebuilt._ids), v
+        assert v._ids == _long_route_vertex_ids(alphabet, v), v
 
 
 def test_every_public_builder_tags_its_vertices_on_its_graph():

@@ -83,8 +83,9 @@ def test_unknown_base_rejected():
 
 
 def _long_route_vertex_ids(alphabet, v):
-    """``_vertex_ids`` without its generator short cut: the word x^-1 a x
-    reduced, then its support and reach read off letter by letter."""
+    """The ``_record`` triple of v rebuilt from its base and conjugator:
+    the word x^-1 a x reduced, then its support and reach read off letter
+    by letter."""
     conj = [alphabet.ids[lt] for lt in v.conjugator]
     key = tuple(_inverse_ids(conj) + [alphabet.ids[Letter(v.base, 1)]] + conj)
     support = reach = 0
@@ -104,7 +105,7 @@ def test_generators_match_the_long_route():
             long = ext_vertex(g, b, word(b, b + "^-1"))
             assert (v.base, v.conjugator, v.key) == (long.base, long.conjugator, long.key)
             assert (v.base, v.conjugator, v.key) == _reference_ext_vertex(g, b, ())
-            assert extgraph._vertex_ids(v) == _long_route_vertex_ids(alphabet, v)
+            assert v._ids == _long_route_vertex_ids(alphabet, v)
 
 
 def test_unknown_conjugator_letter_rejected():
@@ -199,7 +200,7 @@ def test_ext_vertex_matches_the_reference():
 
 
 def _fields(v):
-    return v.base, v.conjugator, v.key, v._alphabet, v._a
+    return v.base, v.conjugator, v.key, v._alphabet, v._ids
 
 
 def _pool_vertex(g, record):
@@ -210,11 +211,13 @@ def _pool_vertex(g, record):
 
 
 def _assert_tag_matches_the_full_route(g, v):
-    """v was built on g: ``_vertex_ids`` reads its tag and letters, and
-    must give what the long route gives from its word reduced over g."""
+    """v was built on g: it carries g's tag, its triple is what the long
+    route gives from its word reduced over g, and its key is the normal
+    form of the triple's word."""
     alphabet = _alphabet(g)
-    assert v._alphabet is alphabet and alphabet.letters[v._a] == Letter(v.base, 1)
-    assert extgraph._vertex_ids(v) == _long_route_vertex_ids(alphabet, v), v
+    assert v._alphabet is alphabet, v
+    assert v._ids == _long_route_vertex_ids(alphabet, v), v
+    assert v.key == normal_form(g, _decode(alphabet, v._ids[0])), v
 
 
 def test_tagged_vertex_ids_match_the_full_route_on_any_conjugator():
@@ -696,6 +699,33 @@ def test_pool_records_match_the_vertex_route(g, radius):
         assert triple == _long_route_vertex_ids(alphabet, v), v
 
 
+@pytest.mark.parametrize(
+    "g,radius",
+    [pytest.param(g, r, id=name) for name, g, r in _enumeration_cases()],
+)
+def test_a_vertex_is_its_pool_record(g, radius):
+    pool = extgraph._pool(g, radius)
+    assert [v._ids for v in enumerate_vertices(g, radius)] == [r[2] for r in pool]
+    for record in pool:
+        assert _pool_vertex(g, record)._ids == record[2]
+
+
+def test_a_vertex_field_cannot_be_forged():
+    # Assigning x2 as the conjugator of x3 made ext_adjacent answer for
+    # x3^(x2), adjacent to x1, while the key still said x3.
+    x1, v = ext_vertex(P5, "x1"), ext_vertex(P5, "x3")
+    for field, value in [
+        ("conjugator", word("x2")),
+        ("key", word("x2^-1", "x3", "x2")),
+        ("base", "x2"),
+        ("radius", 1),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(v, field, value)
+    assert (v.base, v.conjugator, v.key, v.radius) == ("x3", (), word("x3"), 0)
+    assert not ext_adjacent(P5, x1, v)
+
+
 def test_pool_supports_are_intervals_holding_the_base():
     for n in range(3, 9):
         g = make_path(n)
@@ -948,8 +978,8 @@ def test_the_automorphism_filter_changes_no_answer(monkeypatch):
 
 def test_search_witnesses_are_built_by_ext_vertex():
     # Each witness vertex carries the tag of the target's alphabet, is the
-    # vertex that ext_vertex builds on its base and conjugator, and has
-    # its pool record's triple on the long route.
+    # vertex that ext_vertex builds on its base and conjugator, and keeps
+    # its pool record's triple, which is the long route's.
     checked = 0
     for g, radius, witness in _filter_cases():
         if witness is None:
@@ -961,7 +991,7 @@ def test_search_witnesses_are_built_by_ext_vertex():
             assert _fields(v) == _fields(ext_vertex(g, v.base, v.conjugator))
             x = tuple(alphabet.ids[lt] for lt in v.conjugator)
             triple = triples[g.index(v.base), x]
-            assert triple == _long_route_vertex_ids(alphabet, v), v
+            assert v._ids == triple == _long_route_vertex_ids(alphabet, v), v
             checked += 1
     assert checked == 1000
 

@@ -267,6 +267,24 @@ def test_group_map_images_are_read_only():
     assert m.images == {"x1": word("x1"), "x2": word("x2")}
 
 
+def test_group_map_fields_cannot_be_reassigned():
+    # Reassigned after validation, the images made bounded_injectivity
+    # raise KeyError, and a new domain made apply raise KeyError.
+    p2 = make_path(2)
+    m = GroupMap(p2, p2, {"x1": word("x1"), "x2": word("x2")})
+    for field, value in [
+        ("images", {"x1": word("x1")}),
+        ("domain", make_path(3)),
+        ("codomain", make_path(5)),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(m, field, value)
+    assert (m.domain, m.codomain) == (p2, p2)
+    with pytest.raises(ValueError):
+        m.apply(word("x3"))
+    assert bounded_injectivity(m, 2)["violations"] == []
+
+
 def test_trimmed_center_image_is_still_a_homomorphism():
     # dropping x3 from the center image leaves all relators intact and no
     # bounded injectivity failure at this scale; nothing flags it
